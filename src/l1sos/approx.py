@@ -16,8 +16,11 @@ whose moment-side counterpart
 is what actually gets handed to the conic solver: its constraint
 multipliers are exactly (X*, lam*) where X* is the Gram matrix of g, its
 variables give the optimal moment vector y*, and rho = -L_{y*}(f) with zero
-duality gap.  A coefficient-wise formulation over all of R[x]_{2d} is kept
-behind ``full_form=True`` for cross-validation on tiny instances.
+duality gap.  The solver gets one PSD block per class of basis monomials
+under the sign flips that fix f, and the results carry the blocks
+reassembled into the full Gram matrix and moment vector.  A
+coefficient-wise formulation over all of R[x]_{2d} is kept behind
+``full_form=True`` for cross-validation on tiny instances.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import (
+    BasisProducts,
     MomentVector,
     basis_products,
     enumerate_basis,
@@ -81,8 +85,9 @@ class SosCertificate:
 
 @dataclass(frozen=True, eq=False)
 class SosRefutation:
-    """Witness that a polynomial is not a sum of squares: a moment vector y
-    with M_d(y) PSD but L_y(g) < 0 (no such y exists for SOS g)."""
+    """Witness that a polynomial g is not a sum of squares: a moment vector
+    y of degree 2 d0, d0 = max(1, ceil(deg g / 2)), with M_{d0}(y) PSD but
+    L_y(g) < 0 (no such y exists for SOS g)."""
 
     witness: MomentVector
     value: float
@@ -190,34 +195,120 @@ def _padded_coefficients(f: Polynomial, product_basis) -> np.ndarray:
     return out
 
 
-def _assemble_moment_side(f: Polynomial, d: int, tied: bool) -> ConicProblem:
-    """Conic form of the moment-side program.
+@dataclass(frozen=True, eq=False)
+class _SignPartition:
+    """Block structure of the moment-side programs of f.
 
-    One constraint per monomial alpha of degree <= 2d, with right-hand side
-    f_alpha (zero-padded).  Constraint multipliers form the pair
-    (Gram matrix X, multipliers lam); ``tied=True`` merges the n + 1 scalar
-    inequalities into one, which ties the lam_i to a single epsilon.
+    ``classes[k]`` holds, in basis order, the basis indices of the k-th PSD
+    block; ``invariant`` holds the product-basis indices of the monomials
+    that keep a constraint.  Gram entries between classes and moments of the
+    other monomials are zero at an optimum.
     """
-    n = f.n
-    bp = basis_products(n, d)
-    pattern = _perturbation_monomials(n, 2 * d)
+
+    classes: tuple[np.ndarray, ...]
+    invariant: np.ndarray
+
+    @classmethod
+    def trivial(cls, bp: BasisProducts) -> "_SignPartition":
+        """One class and every constraint: the unreduced program."""
+        return cls((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
+
+    def gram(self, blocks) -> np.ndarray:
+        """The full Gram matrix carrying each block on its class."""
+        s = sum(idx.size for idx in self.classes)
+        out = np.zeros((s, s))
+        for idx, x in zip(self.classes, blocks):
+            out[np.ix_(idx, idx)] = x
+        return out
+
+    def moments(self, values: np.ndarray, size: int) -> np.ndarray:
+        """The full moment vector, zero off the invariant monomials."""
+        out = np.zeros(size)
+        out[self.invariant] = values
+        return out
+
+
+def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
+    """Split the moment-side programs of f by the sign flips that fix f.
+
+    Let V be the span over GF(2) of the parities of supp f.  The flips
+    x_i -> -x_i that fix f fix 1 and x_i^{2d} too, hence the whole program,
+    so an optimum may be averaged over them (Gatermann & Parrilo 2004).
+    Basis monomials beta, gamma then share a block exactly when
+    beta + gamma mod 2 lies in V, and alpha keeps its constraint exactly
+    when alpha mod 2 does.  Parities are bitmasks (bit i is alpha_i mod 2),
+    and a parity's coset of V is named by reducing it against an xor basis
+    of V with distinct leading bits.
+    """
+    span: list[int] = []
+
+    def coset(mono: Monomial) -> int:
+        p = sum(1 << i for i, e in enumerate(mono) if e & 1)
+        for v in span:
+            p = min(p, p ^ v)
+        return p
+
+    for mono in f.terms:
+        p = coset(mono)
+        if p:
+            span.append(p)
+            span.sort(reverse=True)
+    # Classes in the order of their first basis monomial, the constant's first.
+    classes: dict[int, list[int]] = {}
+    for i, mono in enumerate(bp.basis.monomials):
+        classes.setdefault(coset(mono), []).append(i)
+    invariant = [a for a, mono in enumerate(bp.product_basis.monomials) if coset(mono) == 0]
+    return _SignPartition(
+        tuple(np.array(idx) for idx in classes.values()), np.array(invariant, dtype=int)
+    )
+
+
+def _assemble_moment_side(
+    f: Polynomial, bp: BasisProducts, partition: _SignPartition, multipliers: int
+) -> ConicProblem:
+    """Conic form of the moment-side program, one PSD block per class.
+
+    One constraint per invariant monomial alpha of degree <= 2d, with
+    right-hand side f_alpha (zero-padded).  Constraint multipliers are the
+    Gram blocks followed by a nonnegative block of ``multipliers``
+    perturbation multipliers: n + 1 free ones, 1 that ties the lam_i to a
+    single epsilon, or none for the SOS membership program of f itself.
+    """
+    pattern = _perturbation_monomials(f.n, 2 * bp.basis.degree)
     pattern_index = {mono: i for i, mono in enumerate(pattern)}
-    s = len(bp.basis)
-    count = 1 if tied else n + 1
-    blocks = (PsdBlock(s), NonNegBlock(count))
-    c = (np.zeros((s, s)), np.ones(count))
-    b = _padded_coefficients(f, bp.product_basis)
+    classes = partition.classes
+    blocks: list[PsdBlock | NonNegBlock] = [PsdBlock(idx.size) for idx in classes]
+    c = [np.zeros((idx.size, idx.size)) for idx in classes]
+    if multipliers:
+        blocks.append(NonNegBlock(multipliers))
+        c.append(np.ones(multipliers))
+    # Block and in-block position of every basis monomial.
+    block_of = np.empty(len(bp.basis), dtype=int)
+    local = np.empty(len(bp.basis), dtype=int)
+    for k, idx in enumerate(classes):
+        block_of[idx] = k
+        local[idx] = np.arange(idx.size)
+    b = _padded_coefficients(f, bp.product_basis)[partition.invariant]
+    monomials = bp.product_basis.monomials
     constraints = []
-    for alpha in bp.product_basis.monomials:
+    for a in partition.invariant.tolist():
+        alpha = monomials[a]
         rows, cols = bp.upper_entries(alpha)
-        con: dict[int, SymEntries | VecEntries] = {
-            0: SymEntries(rows, cols, np.ones(rows.size))
-        }
+        con: dict[int, SymEntries | VecEntries] = {}
+        if len(classes) == 1:
+            con[0] = SymEntries(rows, cols, np.ones(rows.size))
+        else:
+            ks = block_of[rows]
+            for k in sorted(set(ks.tolist())):
+                keep = ks == k
+                con[k] = SymEntries(
+                    local[rows[keep]], local[cols[keep]], np.ones(int(keep.sum()))
+                )
         slot = pattern_index.get(alpha)
-        if slot is not None:
-            con[1] = VecEntries([0 if tied else slot], [-1.0])
+        if slot is not None and multipliers:
+            con[len(classes)] = VecEntries([slot if multipliers > 1 else 0], [-1.0])
         constraints.append(con)
-    return ConicProblem(blocks, c, tuple(constraints), b)
+    return ConicProblem(tuple(blocks), tuple(c), tuple(constraints), b)
 
 
 def assemble_reduced_dual(f: Polynomial, d: int) -> ConicProblem:
@@ -225,10 +316,12 @@ def assemble_reduced_dual(f: Polynomial, d: int) -> ConicProblem:
 
     Block structure: one PSD block of dimension s(d) and one nonnegative
     block of size n + 1; one constraint per monomial of degree <= 2d with
-    right-hand side f_alpha.
+    right-hand side f_alpha.  This is the program without the sign-symmetry
+    blocks that :func:`best_l1_sos_approximation` solves.
     """
     _check_degree(f, d)
-    return _assemble_moment_side(f, d, tied=False)
+    bp = basis_products(f.n, d)
+    return _assemble_moment_side(f, bp, _SignPartition.trivial(bp), f.n + 1)
 
 
 def assemble_full_form(f: Polynomial, d: int) -> ConicProblem:
@@ -383,13 +476,13 @@ def best_l1_sos_approximation(
             certificate=certificate,
             solver=_report(sol),
         )
-    problem = assemble_reduced_dual(f, d)
-    sol = solve(problem, options)
+    partition = _sign_partition(f, bp)
+    sol = solve(_assemble_moment_side(f, bp, partition, n + 1), options)
     if sol.status != Status.OPTIMAL:
         raise SolverFailure(_failure_message(sol), sol)
-    lam = _clip_multipliers(np.asarray(sol.primal[1]), sol)
-    gram = np.asarray(sol.primal[0])
-    y_vals = -sol.dual
+    lam = _clip_multipliers(np.asarray(sol.primal[-1]), sol)
+    gram = partition.gram(sol.primal[:-1])
+    y_vals = partition.moments(-sol.dual, len(bp.product_basis))
 
     rho = float(lam.sum())
     g = f + _perturbation(n, pattern, lam)
@@ -424,44 +517,36 @@ def _failure_message(sol: ConicSolution) -> str:
     )
 
 
-def _assemble_membership(g: Polynomial, d: int) -> ConicProblem:
-    """Feasibility program: find PSD X with <X, B_alpha> = g_alpha for all
-    alpha of degree <= 2d (objective zero)."""
-    bp = basis_products(g.n, d)
-    s = len(bp.basis)
-    blocks = (PsdBlock(s),)
-    c = (np.zeros((s, s)),)
-    b = _padded_coefficients(g, bp.product_basis)
-    constraints = []
-    for alpha in bp.product_basis.monomials:
-        rows, cols = bp.upper_entries(alpha)
-        constraints.append({0: SymEntries(rows, cols, np.ones(rows.size))})
-    return ConicProblem(blocks, c, tuple(constraints), b)
-
-
 def is_sos(
     g: Polynomial, d: int, options: SolverOptions | None = None
 ) -> SosCertificate | SosRefutation:
-    """Decide SOS membership at degree bound 2d.
+    """Decide SOS membership; the degree bound 2d only has to cover deg g.
 
-    Solves the Gram feasibility program; a feasible solve yields a
-    certificate by eigendecomposition.  When the solver cannot produce a
-    strictly feasible Gram matrix (infeasible, or feasible only on the
-    boundary of the PSD cone), the bounded moment-side program settles the
-    question: distance ~ 0 means g is SOS and supplies the Gram matrix,
-    positive distance supplies the refutation witness y with M_d(y) PSD and
-    L_y(g) = -distance < 0.
+    A sum of squares of degree 2e is a sum of squares of polynomials of
+    degree <= e (the simplest case of Reznick's Newton-polytope bound), so
+    the answer is decided at d0 = max(1, ceil(deg g / 2)) whatever d is.
+    Solves the Gram feasibility program over the degree-d0 basis; a
+    feasible solve yields a certificate by eigendecomposition.  When the
+    solver cannot produce a strictly feasible Gram matrix (infeasible, or
+    feasible only on the boundary of the PSD cone), the bounded moment-side
+    program at d0 settles the question: distance ~ 0 means g is SOS and
+    supplies the Gram matrix, positive distance supplies the refutation
+    witness y of degree 2 d0 with M_{d0}(y) PSD and L_y(g) = -distance < 0.
+    Both programs are split into sign-symmetry blocks.
     """
     _check_degree(g, d)
     if g.is_zero():
         return SosCertificate((), (), 0.0)
-    basis = enumerate_basis(g.n, d)
-    sol = solve(_assemble_membership(g, d), options)
+    d0 = max(1, (g.degree() + 1) // 2)
+    bp = basis_products(g.n, d0)
+    partition = _sign_partition(g, bp)
+    sol = solve(_assemble_moment_side(g, bp, partition, 0), options)
     if sol.status == Status.OPTIMAL:
-        return _extract_certificate(np.asarray(sol.primal[0]), basis, g)
-    result = best_l1_sos_approximation(g, d, options)
+        gram = partition.gram(sol.primal)
+        return _extract_certificate(gram, bp.basis, g)
+    result = best_l1_sos_approximation(g, d0, options)
     if result.rho <= _SOS_RHO_TOL:
-        return _extract_certificate(result.gram, basis, g)
+        return _extract_certificate(result.gram, bp.basis, g)
     return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
 
 
@@ -474,11 +559,11 @@ def uniform_sos_perturbation(
     _check_degree(f, d)
     if f.is_zero():
         return 0.0, f
-    problem = _assemble_moment_side(f, d, tied=True)
-    sol = solve(problem, options)
+    bp = basis_products(f.n, d)
+    sol = solve(_assemble_moment_side(f, bp, _sign_partition(f, bp), 1), options)
     if sol.status != Status.OPTIMAL:
         raise SolverFailure(_failure_message(sol), sol)
-    eps = float(max(sol.primal[1][0], 0.0))
+    eps = float(max(sol.primal[-1][0], 0.0))
     pattern = _perturbation_monomials(f.n, 2 * d)
     g = f + _perturbation(f.n, pattern, np.full(f.n + 1, eps))
     return eps, g
