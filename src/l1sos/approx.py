@@ -188,11 +188,29 @@ def _perturbation_monomials(n: int, two_d: int) -> list[Monomial]:
     return pattern
 
 
-def _padded_coefficients(f: Polynomial, product_basis) -> np.ndarray:
-    out = np.zeros(len(product_basis))
+def _padded_coefficients(f: Polynomial, basis) -> tuple[np.ndarray, np.ndarray]:
+    """f's coefficients in basis order, and those of its terms outside it."""
+    out = np.zeros(len(basis))
+    rest = []
     for mono, coeff in f.terms.items():
-        out[product_basis.index_of(mono)] = coeff
-    return out
+        i = basis.index.get(mono)
+        if i is None:
+            rest.append(coeff)
+        else:
+            out[i] = coeff
+    return out, np.array(rest)
+
+
+def _coefficient_error(bp: BasisProducts, gram: np.ndarray, g: Polynomial) -> np.ndarray:
+    """g_alpha - <gram, B_alpha> for every alpha of degree <= 2d, followed by
+    the coefficients of g's terms of higher degree."""
+    gvec, rest = _padded_coefficients(g, bp.product_basis)
+    return np.concatenate([gvec - bp.gram_coefficients(gram), rest])
+
+
+def _gram_tolerance(g: Polynomial) -> float:
+    """1e-7, relative to g's largest coefficient once that exceeds 1."""
+    return 1e-7 * max([1.0] + [abs(c) for c in g.terms.values()])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,14 +271,12 @@ def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
         if p:
             span.append(p)
             span.sort(reverse=True)
-    # Classes in the order of their first basis monomial, the constant's first.
-    classes: dict[int, list[int]] = {}
-    for i, mono in enumerate(bp.basis.monomials):
-        classes.setdefault(coset(mono), []).append(i)
-    invariant = [a for a, mono in enumerate(bp.product_basis.monomials) if coset(mono) == 0]
-    return _SignPartition(
-        tuple(np.array(idx) for idx in classes.values()), np.array(invariant, dtype=int)
-    )
+    keep = np.array([coset(mono) == 0 for mono in bp.product_basis.monomials])
+    # beta_i and beta_j share a class exactly when their product keeps its
+    # constraint.  Classes go in the order of their first basis monomial.
+    first = keep[bp.labels].argmax(axis=1)
+    classes = tuple(np.flatnonzero(first == i) for i in sorted(set(first.tolist())))
+    return _SignPartition(classes, np.flatnonzero(keep))
 
 
 def _assemble_moment_side(
@@ -282,29 +298,17 @@ def _assemble_moment_side(
     if multipliers:
         blocks.append(NonNegBlock(multipliers))
         c.append(np.ones(multipliers))
-    # Block and in-block position of every basis monomial.
-    block_of = np.empty(len(bp.basis), dtype=int)
-    local = np.empty(len(bp.basis), dtype=int)
-    for k, idx in enumerate(classes):
-        block_of[idx] = k
-        local[idx] = np.arange(idx.size)
-    b = _padded_coefficients(f, bp.product_basis)[partition.invariant]
+    rows, cols, bounds = bp.upper_groups(classes)
+    b = _padded_coefficients(f, bp.product_basis)[0][partition.invariant]
     monomials = bp.product_basis.monomials
     constraints = []
     for a in partition.invariant.tolist():
-        alpha = monomials[a]
-        rows, cols = bp.upper_entries(alpha)
         con: dict[int, SymEntries | VecEntries] = {}
-        if len(classes) == 1:
-            con[0] = SymEntries(rows, cols, np.ones(rows.size))
-        else:
-            ks = block_of[rows]
-            for k in sorted(set(ks.tolist())):
-                keep = ks == k
-                con[k] = SymEntries(
-                    local[rows[keep]], local[cols[keep]], np.ones(int(keep.sum()))
-                )
-        slot = pattern_index.get(alpha)
+        for k in range(len(classes)):
+            lo, hi = bounds[a * len(classes) + k : a * len(classes) + k + 2]
+            if lo < hi:
+                con[k] = SymEntries(rows[lo:hi], cols[lo:hi], np.ones(hi - lo))
+        slot = pattern_index.get(monomials[a])
         if slot is not None and multipliers:
             con[len(classes)] = VecEntries([slot if multipliers > 1 else 0], [-1.0])
         constraints.append(con)
@@ -336,49 +340,36 @@ def assemble_full_form(f: Polynomial, d: int) -> ConicProblem:
     bp = basis_products(n, d)
     s = len(bp.basis)
     m1 = len(bp.product_basis)
-    fvec = _padded_coefficients(f, bp.product_basis)
+    fvec = _padded_coefficients(f, bp.product_basis)[0]
+    rows, cols, bounds = bp.upper_groups((np.arange(s),))
     # Blocks: Gram matrix X, lam, slack u (plus side), slack v (minus side).
     blocks = (PsdBlock(s), NonNegBlock(m1), NonNegBlock(m1), NonNegBlock(m1))
     c = (np.zeros((s, s)), np.ones(m1), np.zeros(m1), np.zeros(m1))
     constraints = []
     b = np.concatenate([fvec, -fvec])
-    for sign in (1.0, -1.0):
-        for k, alpha in enumerate(bp.product_basis.monomials):
-            rows, cols = bp.upper_entries(alpha)
-            con: dict[int, SymEntries | VecEntries] = {
-                0: SymEntries(rows, cols, sign * np.ones(rows.size)),
+    for sign, slack_block in ((1.0, 2), (-1.0, 3)):
+        for k in range(m1):
+            lo, hi = bounds[k], bounds[k + 1]
+            constraints.append({
+                0: SymEntries(rows[lo:hi], cols[lo:hi], sign * np.ones(hi - lo)),
                 1: VecEntries([k], [1.0]),
-            }
-            slack_block = 2 if sign > 0 else 3
-            con[slack_block] = VecEntries([k], [-1.0])
-            constraints.append(con)
+                slack_block: VecEntries([k], [-1.0]),
+            })
     return ConicProblem(blocks, c, tuple(constraints), b)
 
 
-def _extract_certificate(
-    gram: np.ndarray, basis, g: Polynomial
-) -> SosCertificate:
+def _extract_certificate(gram: np.ndarray, bp: BasisProducts, g: Polynomial) -> SosCertificate:
     """Square extraction by eigendecomposition, clipping eigenvalues below
     1e-9 * max eigenvalue, with the l1 reconstruction residual against g."""
     gram = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(gram)
     lmax = float(evals[-1]) if evals.size else 0.0
-    squares: list[Polynomial] = []
-    weights: list[float] = []
-    if lmax > 0.0:
-        for val, vec in zip(evals, evecs.T):
-            if val <= _EIG_CLIP_REL * lmax:
-                continue
-            q = Polynomial(
-                basis.n, dict(zip(basis.monomials, vec))
-            )
-            squares.append(q)
-            weights.append(float(val))
-    recon = Polynomial.zero(g.n)
-    for w, q in zip(weights, squares):
-        recon = recon + w * (q * q)
-    residual = (g - recon).l1_norm()
-    return SosCertificate(tuple(squares), tuple(weights), residual)
+    keep = evals > _EIG_CLIP_REL * max(lmax, 0.0)
+    weights, vecs = evals[keep], evecs[:, keep].T
+    squares = tuple(Polynomial(bp.basis.n, dict(zip(bp.basis.monomials, v))) for v in vecs)
+    # sum_k w_k q_k^2 has the Gram matrix Q^T diag(w) Q, row k of Q holding q_k.
+    residual = float(np.abs(_coefficient_error(bp, (vecs.T * weights) @ vecs, g)).sum())
+    return SosCertificate(squares, tuple(weights.tolist()), residual)
 
 
 def _clip_multipliers(raw: np.ndarray, sol: ConicSolution) -> np.ndarray:
@@ -466,7 +457,7 @@ def best_l1_sos_approximation(
         gram = np.asarray(sol.primal[0])
         g = bp.gram_polynomial(gram)
         y_star = MomentVector(bp.product_basis, sol.dual[m1:] - sol.dual[:m1])
-        certificate = _extract_certificate(gram, bp.basis, g)
+        certificate = _extract_certificate(gram, bp, g)
         return ApproximationResult(
             lam=lam,
             rho=(g - f).l1_norm(),
@@ -489,15 +480,14 @@ def best_l1_sos_approximation(
     # Cross-check the two reconstructions of g: from the multipliers and
     # from the Gram block.  A mismatch means the solve was not as accurate
     # as its status claims.
-    gram_dev = float(
-        np.max(np.abs(bp.gram_coefficients(gram) - _padded_coefficients(g, bp.product_basis)))
-    )
-    if gram_dev > 1e-7:
+    gram_dev = float(np.abs(_coefficient_error(bp, gram, g)).max())
+    gram_tol = _gram_tolerance(g)
+    if gram_dev > gram_tol:
         raise SolverFailure(
-            f"Gram matrix reproduces g only to {gram_dev:.3e} (needs 1e-7)", sol
+            f"Gram matrix reproduces g only to {gram_dev:.3e} (needs {gram_tol:.3e})", sol
         )
     y_star = MomentVector(bp.product_basis, y_vals)
-    certificate = _extract_certificate(gram, bp.basis, g)
+    certificate = _extract_certificate(gram, bp, g)
     return ApproximationResult(
         lam=lam,
         rho=rho,
@@ -543,10 +533,10 @@ def is_sos(
     sol = solve(_assemble_moment_side(g, bp, partition, 0), options)
     if sol.status == Status.OPTIMAL:
         gram = partition.gram(sol.primal)
-        return _extract_certificate(gram, bp.basis, g)
+        return _extract_certificate(gram, bp, g)
     result = best_l1_sos_approximation(g, d0, options)
     if result.rho <= _SOS_RHO_TOL:
-        return _extract_certificate(result.gram, bp.basis, g)
+        return _extract_certificate(result.gram, bp, g)
     return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
 
 
@@ -613,10 +603,9 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
 
     # The Gram matrix reproduces the coefficients of g.
     bp = basis_products(n, d)
-    coeffs = bp.gram_coefficients(np.asarray(result.gram))
-    gvec = _padded_coefficients(result.g, bp.product_basis)
-    gram_res = float(np.max(np.abs(coeffs - gvec)))
-    checks.append(Check("gram_reproduces_g", gram_res <= 1e-7, gram_res, 1e-7))
+    gram_res = float(np.abs(_coefficient_error(bp, np.asarray(result.gram), result.g)).max())
+    gram_tol = _gram_tolerance(result.g)
+    checks.append(Check("gram_reproduces_g", gram_res <= gram_tol, gram_res, gram_tol))
 
     # The Gram matrix is PSD.
     evals = np.linalg.eigvalsh(0.5 * (result.gram + result.gram.T))
@@ -641,10 +630,14 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     weights = np.asarray(result.certificate.weights, dtype=float)
     wmin = float(weights.min()) if weights.size else 1.0
     checks.append(Check("certificate_weights_positive", wmin > 0.0, max(0.0, -wmin), 0.0))
-    recon = Polynomial.zero(n)
-    for w, q in zip(result.certificate.weights, result.certificate.squares):
-        recon = recon + w * (q * q)
-    cert_res = (result.g - recon).l1_norm()
+    # Squares must live in the degree-d basis, one weight each; a square
+    # outside it cannot rebuild a g of degree <= 2d.
+    squares = [_padded_coefficients(q, bp.basis) for q in result.certificate.squares]
+    if len(squares) != weights.size or any(rest.size for _, rest in squares):
+        cert_res = float("inf")
+    else:
+        q = np.array([vec for vec, _ in squares]).reshape(-1, len(bp.basis))
+        cert_res = float(np.abs(_coefficient_error(bp, (q.T * weights) @ q, result.g)).sum())
     cert_tol = 1e-6 * (1.0 + result.g.l1_norm())
     checks.append(
         Check("certificate_reconstruction", cert_res <= cert_tol, cert_res, cert_tol)

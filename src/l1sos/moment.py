@@ -1,5 +1,5 @@
-"""Monomial bases, basis-product matrices, moment matrices and the Riesz
-functional.
+"""Monomial bases, the basis-product label matrix, moment matrices and the
+Riesz functional.
 
 The degree-``d`` basis enumerates all exponent vectors of total degree <= d
 in graded lexicographic order; its size is binomial(n + d, n).  The
@@ -8,13 +8,16 @@ basis-product matrices ``B_alpha`` are the 0/1 symmetric matrices satisfying
     v_d(x) v_d(x)^T = sum_alpha x^alpha B_alpha
 
 so that a polynomial g of degree <= 2d is a sum of squares exactly when
-g_alpha = <X, B_alpha> for some positive semidefinite X.
+g_alpha = <X, B_alpha> for some positive semidefinite X.  All of them are
+stored as one integer matrix, labels[i, j] = index(beta_i + beta_j): B_alpha
+is the set of entries labelled alpha.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,39 +70,33 @@ def enumerate_basis(n: int, d: int) -> MonomialBasis:
 
 @dataclass(frozen=True, eq=False)
 class BasisProducts:
-    """The matrices B_alpha for alpha of degree <= 2d, stored as index lists.
+    """The matrices B_alpha for alpha of degree <= 2d, as one label matrix.
 
-    Every entry of B_alpha is 0 or 1, with ones exactly at the positions
-    (i, j) where the i-th and j-th basis monomials multiply to x^alpha.  The
-    sparse pair lists make inner products <X, B_alpha> cheap; ``matrix``
-    materializes the dense form on demand.
+    ``labels[i, j]`` is the product-basis index of beta_i + beta_j, so
+    B_alpha is the 0/1 matrix ``labels == index(alpha)``.  Gram
+    coefficients, moment matrices and constraint rows all read the groups of
+    equal labels, each in row-major order.
     """
 
     basis: MonomialBasis
     product_basis: MonomialBasis
-    pairs: dict[Monomial, np.ndarray]
+    labels: np.ndarray
 
     def matrix(self, alpha: Monomial) -> np.ndarray:
-        s = len(self.basis)
-        out = np.zeros((s, s))
-        for i, j in self.pairs[tuple(alpha)]:
-            out[i, j] = 1.0
-        return out
+        return (self.labels == self.product_basis.index_of(alpha)).astype(float)
 
-    def upper_entries(self, alpha: Monomial) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle (row, col) positions of the unit entries."""
-        ij = self.pairs[tuple(alpha)]
-        keep = ij[:, 0] <= ij[:, 1]
-        return ij[keep, 0], ij[keep, 1]
-
-    def inner(self, alpha: Monomial, x: np.ndarray) -> float:
-        """<X, B_alpha> as a sum of selected entries of X."""
-        ij = self.pairs[tuple(alpha)]
-        return float(x[ij[:, 0], ij[:, 1]].sum())
+    @cached_property
+    def _groups(self) -> list[np.ndarray]:
+        """The flat positions of each label, in row-major order."""
+        flat = self.labels.ravel()
+        order = np.argsort(flat, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(flat))[:-1])
 
     def gram_coefficients(self, x: np.ndarray) -> np.ndarray:
-        """All coefficients <X, B_alpha>, ordered like the product basis."""
-        return np.array([self.inner(a, x) for a in self.product_basis.monomials])
+        """All coefficients <X, B_alpha>, ordered like the product basis,
+        each summed over its group in row-major order."""
+        flat = np.asarray(x, dtype=float).ravel()
+        return np.array([flat[positions].sum() for positions in self._groups])
 
     def gram_polynomial(self, x: np.ndarray) -> Polynomial:
         """The polynomial with coefficients <X, B_alpha>."""
@@ -109,20 +106,35 @@ class BasisProducts:
             dict(zip(self.product_basis.monomials, coeffs)),
         )
 
+    def upper_groups(self, classes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Upper-triangle positions (rows, cols) of every B_alpha, split by
+        the class of their row among the K ``classes`` and numbered within
+        it: B_alpha with index a has ``rows[bounds[j]:bounds[j + 1]]`` in
+        class k, j = a K + k, in row-major order."""
+        block_of = np.empty(len(self.basis), dtype=int)
+        local = np.empty(len(self.basis), dtype=int)
+        for k, idx in enumerate(classes):
+            block_of[idx] = k
+            local[idx] = np.arange(idx.size)
+        rows, cols = np.triu_indices(len(self.basis))
+        key = self.labels[rows, cols] * len(classes) + block_of[rows]
+        order = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[order], np.arange(len(self.product_basis) * len(classes) + 1))
+        return local[rows[order]], local[cols[order]], bounds
+
 
 def basis_products(n: int, d: int) -> BasisProducts:
-    """Build the B_alpha family for the degree-d basis."""
-    basis = enumerate_basis(n, d)
-    product_basis = enumerate_basis(n, 2 * d)
-    grouped: dict[Monomial, list[tuple[int, int]]] = {
-        m: [] for m in product_basis.monomials
-    }
-    for i, beta in enumerate(basis.monomials):
-        for j, gamma in enumerate(basis.monomials):
-            alpha = tuple(a + b for a, b in zip(beta, gamma))
-            grouped[alpha].append((i, j))
-    pairs = {m: np.array(ij, dtype=int).reshape(-1, 2) for m, ij in grouped.items()}
-    return BasisProducts(basis, product_basis, pairs)
+    """Build the label matrix of the degree-d basis by looking every sum
+    beta_i + beta_j up among the degree-2d monomials."""
+    basis, product_basis = enumerate_basis(n, d), enumerate_basis(n, 2 * d)
+    # Exponent vectors compare as byte strings; the degree-d basis is a
+    # prefix of the graded degree-2d one.
+    exps = np.array(product_basis.monomials, dtype=np.int64)
+    keys = exps.view(f"V{8 * n}")[:, 0]
+    top = exps[: len(basis)]
+    sums = (top[:, None] + top[None, :]).view(keys.dtype)[..., 0]
+    order = np.argsort(keys)
+    return BasisProducts(basis, product_basis, order[np.searchsorted(keys, sums, sorter=order)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,22 +166,14 @@ class MomentVector:
 
 def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
     """The symmetric matrix M with M[i, j] = y_{beta_i + beta_j} over the
-    degree-d basis.  Requires y to cover degree 2d."""
+    degree-d basis.  Requires y to cover degree 2d; the degree-2d basis is
+    a prefix of y's graded-lex basis, so the label matrix indexes y."""
     if 2 * d > y.degree:
         raise ValueError(
             f"moment vector of degree {y.degree} cannot fill a degree-{d} "
             f"moment matrix (needs degree {2 * d})"
         )
-    basis = enumerate_basis(y.n, d)
-    s = len(basis)
-    m = np.empty((s, s))
-    for i, beta in enumerate(basis.monomials):
-        for j in range(i, s):
-            gamma = basis.monomials[j]
-            val = y.value(tuple(a + b for a, b in zip(beta, gamma)))
-            m[i, j] = val
-            m[j, i] = val
-    return m
+    return y.values[basis_products(y.n, d).labels]
 
 
 def riesz(y: MomentVector, f: Polynomial) -> float:

@@ -274,7 +274,45 @@ class TestVerify:
         failed = {c.name for c in report.checks if not c.passed}
         assert "perturbation_structure" in failed
 
+    def test_g_above_degree_fails_gram_check(self, motzkin_result):
+        # x1^7 lies outside the degree-6 product basis: a report entry, not
+        # an exception.
+        res, f = motzkin_result
+        g = res.g + Polynomial.monomial(2, (7, 0), 1e-3)
+        tampered = ApproximationResult(
+            lam=res.lam, rho=res.rho, g=g, y_star=res.y_star,
+            gram=res.gram, certificate=res.certificate, solver=res.solver,
+        )
+        report = verify(tampered, f, 3)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert {"gram_reproduces_g", "certificate_reconstruction"} <= failed
+
+    def test_square_outside_basis_fails_reconstruction(self, motzkin_result):
+        res, f = motzkin_result
+        squares = list(res.certificate.squares)
+        squares[-1] = squares[-1] + Polynomial.monomial(2, (4, 0), 1e-3)
+        cert = SosCertificate(tuple(squares), res.certificate.weights, 0.0)
+        tampered = ApproximationResult(
+            lam=res.lam, rho=res.rho, g=res.g, y_star=res.y_star,
+            gram=res.gram, certificate=cert, solver=res.solver,
+        )
+        report = verify(tampered, f, 3)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"certificate_reconstruction"}
+
     def test_report_renders(self, motzkin_result):
         res, f = motzkin_result
         text = str(verify(res, f, 3))
         assert "zero_duality_gap" in text and "pass" in text
+
+
+@pytest.mark.filterwarnings("ignore:input has l1 norm")
+def test_gram_gate_scales_with_input(motzkin):
+    """rho scales with f: the Gram-reproduction tolerance is relative to
+    g's largest coefficient, so 1e4 * f and 1e6 * f pass like f does."""
+    rho_1 = best_l1_sos_approximation(motzkin, 3).rho
+    for c in (1.0, 1e2, 1e4, 1e6):
+        res = best_l1_sos_approximation(c * motzkin, 3)
+        report = verify(res, c * motzkin, 3)
+        assert report.all_passed, f"c={c}\n{report}"
+        assert res.rho / c == pytest.approx(rho_1, rel=1e-6)

@@ -44,6 +44,21 @@ class TestEnumerateBasis:
             enumerate_basis(2, -1)
 
 
+def reference_pairs(n, d):
+    """The (i, j) pairs of every B_alpha by the direct double loop over the
+    basis, row-major within each alpha: the reference for the label matrix."""
+    basis = enumerate_basis(n, d)
+    grouped = {m: [] for m in enumerate_basis(n, 2 * d).monomials}
+    for i, beta in enumerate(basis.monomials):
+        for j, gamma in enumerate(basis.monomials):
+            grouped[tuple(a + b for a, b in zip(beta, gamma))].append((i, j))
+    return {m: np.array(ij).reshape(-1, 2) for m, ij in grouped.items()}
+
+
+# Sizes of the benchmark's dense inputs and the largest Motzkin-like degree.
+LADDER_SIZES = [(2, 11), (3, 5), (4, 4), (6, 2)]
+
+
 class TestBasisProducts:
     def test_univariate_degree_one(self):
         bp = basis_products(1, 1)
@@ -58,7 +73,7 @@ class TestBasisProducts:
         expected[1, 2] = expected[2, 1] = 1.0
         assert np.array_equal(bp.matrix((1, 1)), expected)
 
-    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 3), (3, 1), (4, 4)])
     def test_total_entry_count(self, n, d):
         bp = basis_products(n, d)
         s = len(bp.basis)
@@ -76,6 +91,29 @@ class TestBasisProducts:
                 if tuple(b + g for b, g in zip(beta, gamma)) == alpha
             )
             assert np.count_nonzero(bp.matrix(alpha)) == count
+
+    @pytest.mark.parametrize("n,d", LADDER_SIZES + [(1, 3), (3, 1)])
+    def test_labels_match_reference_pairs(self, n, d):
+        bp = basis_products(n, d)
+        for alpha, ij in reference_pairs(n, d).items():
+            a = bp.product_basis.index_of(alpha)
+            assert np.array_equal(np.argwhere(bp.labels == a), ij)
+
+    @pytest.mark.parametrize("n,d", LADDER_SIZES)
+    def test_gram_coefficients_bit_identical(self, n, d):
+        # Each group summed alone in row-major order, as the reference does,
+        # keeps every bit; a single weighted bincount would not.
+        rng = np.random.default_rng(n * 100 + d)
+        bp = basis_products(n, d)
+        pairs = reference_pairs(n, d)
+        for _ in range(3):
+            r = rng.standard_normal((len(bp.basis),) * 2)
+            x = r @ r.T
+            ref = np.array([x[ij[:, 0], ij[:, 1]].sum() for ij in pairs.values()])
+            assert np.array_equal(bp.gram_coefficients(x), ref)
+            poly = bp.gram_polynomial(x)
+            assert poly == Polynomial(n, dict(zip(pairs, ref)))
+            assert list(poly.terms) == list(pairs)
 
     def test_outer_product_identity(self):
         # v_d(x) v_d(x)^T must equal sum_alpha x^alpha B_alpha pointwise.
@@ -118,6 +156,20 @@ class TestMomentMatrix:
         y = MomentVector(enumerate_basis(1, 2), [1.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             moment_matrix(y, 2)
+
+    @pytest.mark.parametrize("n,d", LADDER_SIZES)
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_matches_reference_loop(self, n, d, extra):
+        # y of degree 2d, and of 2d + 2, whose basis extends the degree-2d one.
+        rng = np.random.default_rng(7 * n + d + extra)
+        basis = enumerate_basis(n, 2 * d + extra)
+        y = MomentVector(basis, rng.standard_normal(len(basis)))
+        monos = enumerate_basis(n, d).monomials
+        ref = np.array(
+            [[y.value(tuple(a + b for a, b in zip(beta, gamma))) for gamma in monos]
+             for beta in monos]
+        )
+        assert np.array_equal(moment_matrix(y, d), ref)
 
     def test_reconstruction_from_basis_products(self):
         # M_d(y) = sum_alpha y_alpha B_alpha, entry for entry, exactly.

@@ -105,6 +105,44 @@ class TestDenseInputIsUnchanged:
                     assert np.array_equal(getattr(con[k], name), getattr(ref[k], name))
 
 
+@pytest.mark.parametrize(
+    "f,d",
+    [(approx.motzkin_like(), 7), (dense_polynomial(np.random.default_rng(44), 4, 8), 4)],
+    ids=["motzkin-7", "dense-4-4"],
+)
+def test_constraint_blocks_match_reference_pairs(f, d):
+    """Every constraint's per-block array, and its upper-triangle entries in
+    order, against pair lists built by the direct double loop."""
+    bp, part = partition_of(f, d)
+    problem = approx._assemble_moment_side(f, bp, part, f.n + 1)
+    block_of = np.empty(len(bp.basis), dtype=int)
+    local = np.empty(len(bp.basis), dtype=int)
+    for k, idx in enumerate(part.classes):
+        block_of[idx] = k
+        local[idx] = np.arange(idx.size)
+    pairs = {m: [] for m in bp.product_basis.monomials}
+    for i, beta in enumerate(bp.basis.monomials):
+        for j, gamma in enumerate(bp.basis.monomials):
+            pairs[tuple(x + y for x, y in zip(beta, gamma))].append((i, j))
+    assert len(problem.constraints) == part.invariant.size
+    for a, con in zip(part.invariant.tolist(), problem.constraints):
+        ij = np.array(pairs[bp.product_basis.monomials[a]])
+        sym = {k: e for k, e in con.items() if isinstance(e, SymEntries)}
+        assert sorted(sym) == sorted(set(block_of[ij[:, 0]].tolist()))
+        for k, entries in sym.items():
+            size = part.classes[k].size
+            dense = np.zeros((size, size))
+            dense[entries.rows, entries.cols] = entries.vals
+            dense[entries.cols, entries.rows] = entries.vals
+            ref = np.zeros((size, size))
+            mine = ij[block_of[ij[:, 0]] == k]
+            ref[local[mine[:, 0]], local[mine[:, 1]]] = 1.0
+            assert np.array_equal(dense, ref)
+            upper = mine[mine[:, 0] <= mine[:, 1]]
+            assert np.array_equal(entries.rows, local[upper[:, 0]])
+            assert np.array_equal(entries.cols, local[upper[:, 1]])
+
+
 def _unreduced(f, d):
     """rho and epsilon of the programs without symmetry blocks."""
     bp = basis_products(f.n, d)
