@@ -55,6 +55,7 @@ from .sdp import (
 # worse is treated as a failed solve.
 _CLIP_TOL = 1e-9
 _EIG_CLIP_REL = 1e-9
+# l1 distance of g / ||g||_1 from the SOS cone below which is_sos calls g SOS.
 _SOS_RHO_TOL = 1e-7
 
 
@@ -521,22 +522,26 @@ def is_sos(
     feasible only on the boundary of the PSD cone), the bounded moment-side
     program at d0 settles the question: distance ~ 0 means g is SOS and
     supplies the Gram matrix, positive distance supplies the refutation
-    witness y of degree 2 d0 with M_{d0}(y) PSD and L_y(g) = -distance < 0.
-    Both programs are split into sign-symmetry blocks.
+    witness y of degree 2 d0 with M_{d0}(y) PSD and L_y(g) < 0.  Both
+    programs are split into sign-symmetry blocks and solved for
+    g / ||g||_1, so the answer and the distance threshold do not depend on
+    g's scale; the certificate weights and the witness value are in g's
+    units, and the certificate residual is taken against g itself.
     """
     _check_degree(g, d)
     if g.is_zero():
         return SosCertificate((), (), 0.0)
     d0 = max(1, (g.degree() + 1) // 2)
     bp = basis_products(g.n, d0)
-    partition = _sign_partition(g, bp)
-    sol = solve(_assemble_moment_side(g, bp, partition, 0), options)
+    norm = g.l1_norm()
+    unit = g * (1.0 / norm)
+    partition = _sign_partition(unit, bp)
+    sol = solve(_assemble_moment_side(unit, bp, partition, 0), options)
     if sol.status == Status.OPTIMAL:
-        gram = partition.gram(sol.primal)
-        return _extract_certificate(gram, bp, g)
-    result = best_l1_sos_approximation(g, d0, options)
+        return _extract_certificate(norm * partition.gram(sol.primal), bp, g)
+    result = best_l1_sos_approximation(unit, d0, options)
     if result.rho <= _SOS_RHO_TOL:
-        return _extract_certificate(result.gram, bp, g)
+        return _extract_certificate(norm * result.gram, bp, g)
     return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
 
 
@@ -601,9 +606,17 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     dist_tol = 1e-9 * (1.0 + rho)
     checks.append(Check("rho_equals_l1_distance", dist_res <= dist_tol, dist_res, dist_tol))
 
-    # The Gram matrix reproduces the coefficients of g.
+    # A result of another degree has a Gram matrix or a moment vector that
+    # does not fit degree d; the checks that read them fail instead of
+    # raising.
     bp = basis_products(n, d)
-    gram_res = float(np.abs(_coefficient_error(bp, np.asarray(result.gram), result.g)).max())
+    s = len(bp.basis)
+    fits = np.shape(result.gram) == (s, s) and result.y_star.degree >= 2 * d
+
+    # The Gram matrix reproduces the coefficients of g.
+    gram_res = float("inf")
+    if fits:
+        gram_res = float(np.abs(_coefficient_error(bp, np.asarray(result.gram), result.g)).max())
     gram_tol = _gram_tolerance(result.g)
     checks.append(Check("gram_reproduces_g", gram_res <= gram_tol, gram_res, gram_tol))
 
@@ -620,10 +633,12 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     checks.append(Check("zero_duality_gap", gap_res <= gap_tol, gap_res, gap_tol))
 
     # y* is feasible for the moment-side program.
-    m_eigs = np.linalg.eigvalsh(moment_matrix(result.y_star, d))
-    feas_res = max(0.0, -float(m_eigs[0]))
-    corners = [result.y_star.value(mono) for mono in pattern]
-    feas_res = max(feas_res, max(0.0, max(corners) - 1.0))
+    feas_res = float("inf")
+    if fits:
+        m_eigs = np.linalg.eigvalsh(moment_matrix(result.y_star, d))
+        feas_res = max(0.0, -float(m_eigs[0]))
+        corners = [result.y_star.value(mono) for mono in pattern]
+        feas_res = max(feas_res, max(0.0, max(corners) - 1.0))
     checks.append(Check("moment_vector_feasible", feas_res <= 1e-8, feas_res, 1e-8))
 
     # Certificate weights are positive and the squares rebuild g.
@@ -633,7 +648,7 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     # Squares must live in the degree-d basis, one weight each; a square
     # outside it cannot rebuild a g of degree <= 2d.
     squares = [_padded_coefficients(q, bp.basis) for q in result.certificate.squares]
-    if len(squares) != weights.size or any(rest.size for _, rest in squares):
+    if not fits or len(squares) != weights.size or any(rest.size for _, rest in squares):
         cert_res = float("inf")
     else:
         q = np.array([vec for vec, _ in squares]).reshape(-1, len(bp.basis))

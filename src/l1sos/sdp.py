@@ -9,15 +9,23 @@ standard pair
                 Z in K
 
 where K is the product of the block cones.  The algorithm is path-following
-with the HKM search direction, a Mehrotra predictor-corrector step, and a
-dense Cholesky factorization of the Schur complement with escalating
-diagonal regularization on breakdown.  Everything is deterministic: a fixed
+with the HKM search direction and a Mehrotra predictor-corrector step.
+
+Each block keeps the constraint coefficients as entries sorted by
+constraint: both (r, c) and (c, r) of every PSD entry, repeated entries
+summed.  A(Z) and A^T(y) are bincounts over them.  The Schur complement
+M[i, j] = <A_i, X A_j S^{-1}> is built factored, using the per-constraint
+sparsity of SDPA (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997):
+with X = R R^T and S^{-1} = L L^T, row i of Q is vec(R^T A_i L), one small
+product over constraint i's entries, and M = Q Q^T is positive
+semidefinite by construction.  M gets a dense Cholesky factorization,
+solved by blocked substitution; on breakdown each row is shifted by an
+escalating multiple of its own diagonal entry.  Only numpy is needed.  Everything is deterministic: a fixed
 scale-aware starting point and no randomized pivoting, so identical inputs
 produce identical iterate sequences.
 
-Intended for desk-scale problems (block dimensions and constraint counts in
-the tens to low hundreds); there is no sparsity exploitation beyond the
-coefficient storage.
+Intended for desk-scale problems: block dimensions and constraint counts in
+the tens to low hundreds.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 # Divergence factor for the infeasibility heuristic: iterates this far above
 # the initialization scale with a persistent objective ray are treated as a
@@ -35,6 +42,8 @@ import scipy.linalg
 _DIVERGENCE_FACTOR = 1e8
 _REG_INITIAL = 1e-12
 _REG_MAX = 1e-6
+# Block size of the substitution in the Schur solve.
+_SUBST_BLOCK = 64
 
 
 class Status(str, enum.Enum):
@@ -220,50 +229,76 @@ class ConicSolution:
     trace: tuple[IterationStats, ...] | None = None
 
 
-def _dense_coefficients(problem: ConicProblem):
-    """Stack the sparse constraint data into dense per-block arrays."""
-    m = problem.m
-    stacked = []
-    for k, blk in enumerate(problem.blocks):
-        if isinstance(blk, PsdBlock):
-            arr = np.zeros((m, blk.dim, blk.dim))
-            for i, con in enumerate(problem.constraints):
-                ent = con.get(k)
-                if ent is None:
-                    continue
-                for r, c, v in zip(ent.rows, ent.cols, ent.vals):
-                    arr[i, r, c] += v
-                    if r != c:
-                        arr[i, c, r] += v
-        else:
-            arr = np.zeros((m, blk.count))
-            for i, con in enumerate(problem.constraints):
-                ent = con.get(k)
-                if ent is None:
-                    continue
-                np.add.at(arr[i], ent.idx, ent.vals)
-        stacked.append(arr)
-    return stacked
+class _Entries(NamedTuple):
+    """One block's constraint coefficients as entries sorted by constraint.
+
+    A PSD block holds both (r, c) and (c, r) of each off-diagonal entry; a
+    nonnegative block holds its indices in ``rows`` and ``cols`` alike.
+    Repeated entries are summed.  ``touched`` lists the constraints with an
+    entry in the block; entry e belongs to ``touched[slot[e]]``, and the
+    entries of ``touched[t]`` are ``bounds[t]:bounds[t + 1]``.
+    """
+
+    con: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    touched: np.ndarray
+    slot: np.ndarray
+    bounds: np.ndarray
 
 
-def _apply_a(amats, blocks, xs) -> np.ndarray:
-    out = None
-    for blk, a, x in zip(blocks, amats, xs):
-        if isinstance(blk, PsdBlock):
-            term = np.einsum("ipq,pq->i", a, x)
-        else:
-            term = a @ x
-        out = term if out is None else out + term
+def _block_entries(problem: ConicProblem, k: int) -> _Entries:
+    """Gather block k's entries of every constraint."""
+    blk = problem.blocks[k]
+    psd = isinstance(blk, PsdBlock)
+    dim = blk.dim if psd else blk.count
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    for i, con in enumerate(problem.constraints):
+        ent = con.get(k)
+        if ent is not None:
+            rows, cols = (ent.rows, ent.cols) if psd else (ent.idx, ent.idx)
+            parts.append((np.full(rows.size, i), rows, cols, ent.vals))
+    con, rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    if psd:
+        off = rows != cols
+        con, rows, cols, vals = (
+            np.concatenate([con, con[off]]),
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]),
+        )
+    key = (con * dim + rows) * dim + cols
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
+    con, rows, cols = (a[order][new] for a in (con, rows, cols))
+    first = np.diff(con, prepend=-1) != 0
+    return _Entries(
+        con, rows, cols, vals, con[first], np.cumsum(first) - 1,
+        np.append(np.flatnonzero(first), con.size),
+    )
+
+
+def _apply_a(coefs, xs, m: int) -> np.ndarray:
+    """A(Z): the vector of <A_i, Z> over the constraints."""
+    out = np.zeros(m)
+    for e, x in zip(coefs, xs):
+        picked = x[e.rows, e.cols] if x.ndim == 2 else x[e.rows]
+        out += np.bincount(e.con, weights=e.vals * picked, minlength=m)
     return out
 
 
-def _apply_at(amats, blocks, y):
+def _apply_at(coefs, blocks, y):
+    """A^T(y): sum_i y_i A_i, block by block."""
     out = []
-    for blk, a in zip(blocks, amats):
+    for blk, e in zip(blocks, coefs):
+        w = e.vals * y[e.con]
         if isinstance(blk, PsdBlock):
-            out.append(np.einsum("i,ipq->pq", y, a))
+            s = blk.dim
+            out.append(np.bincount(e.rows * s + e.cols, weights=w, minlength=s * s).reshape(s, s))
         else:
-            out.append(y @ a)
+            out.append(np.bincount(e.rows, weights=w, minlength=blk.count))
     return out
 
 
@@ -274,11 +309,10 @@ def _inner(blocks, xs, ys) -> float:
     return total
 
 
-def _max_step_psd(x: np.ndarray, d: np.ndarray) -> float:
-    """Largest t with x + t*d still PSD, for x positive definite."""
-    l = np.linalg.cholesky(x)
-    w = scipy.linalg.solve_triangular(l, d, lower=True)
-    w = scipy.linalg.solve_triangular(l, w.T, lower=True)
+def _max_step_psd(linv: np.ndarray, d: np.ndarray) -> float:
+    """Largest t with x + t*d still PSD, given linv = inv(cholesky(x)) of a
+    positive definite x."""
+    w = linv @ d @ linv.T
     lmin = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
     if lmin >= -1e-14:
         return np.inf
@@ -292,39 +326,114 @@ def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
     return float(np.min(-x[neg] / d[neg]))
 
 
-def _max_step(blocks, xs, ds) -> float:
+def _max_step(blocks, linvs, xs, ds) -> float:
     step = np.inf
-    for blk, x, d in zip(blocks, xs, ds):
+    for blk, linv, x, d in zip(blocks, linvs, xs, ds):
         if isinstance(blk, PsdBlock):
-            step = min(step, _max_step_psd(x, d))
+            step = min(step, _max_step_psd(linv, d))
         else:
             step = min(step, _max_step_nonneg(x, d))
     return step
 
 
+def _schur_rows(e: _Entries, r: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Q with M = Q Q^T on a PSD block's touched constraints, for X = R R^T
+    and S^{-1} = L L^T: row t is vec(R^T A_i L) for i = touched[t], the sum
+    over constraint i's entries (p, q, v) of v R[p]^T L[q]."""
+    s = r.shape[0]
+    left = r[e.rows] * e.vals[:, None]
+    right = l[e.cols]
+    q = np.empty((e.touched.size, s, s))
+    bounds = e.bounds.tolist()
+    for t in range(e.touched.size):
+        lo, hi = bounds[t], bounds[t + 1]
+        np.matmul(left[lo:hi].T, right[lo:hi], out=q[t])
+    return q.reshape(e.touched.size, s * s)
+
+
+def _schur_complement(blocks, coefs, xs, ss, m: int):
+    """The Schur complement M[i, j] = <A_i, X A_j S^{-1}>, summed over the
+    blocks as Q Q^T on the constraints each one touches; also the inverses
+    of the slack blocks, and the inverse Cholesky factors of the PSD blocks
+    of X and S for the step lengths.  Raises LinAlgError if a PSD block of
+    X or S is not numerically positive definite."""
+    sinvs, x_linvs, s_linvs = [], [], []
+    schur = np.zeros((m, m))
+    for blk, e, x, s in zip(blocks, coefs, xs, ss):
+        if isinstance(blk, PsdBlock):
+            rx = np.linalg.cholesky(x)
+            ls = np.linalg.inv(np.linalg.cholesky(s))
+            sinv = ls.T @ ls
+            x_linvs.append(np.linalg.inv(rx))
+            s_linvs.append(ls)
+            q = _schur_rows(e, rx, ls.T)
+        else:
+            sinv = 1.0 / s
+            x_linvs.append(None)
+            s_linvs.append(None)
+            q = np.zeros((e.touched.size, blk.count))
+            q[e.slot, e.rows] = e.vals * np.sqrt(x * sinv)[e.rows]
+        sinvs.append(sinv)
+        if e.touched.size == m:
+            schur += q @ q.T
+        else:
+            schur[np.ix_(e.touched, e.touched)] += q @ q.T
+    return schur, sinvs, x_linvs, s_linvs
+
+
 def _factor_schur(m: np.ndarray):
-    """Cholesky with escalating diagonal regularization, scaled to the matrix
-    (reg * max diagonal); None on breakdown past the largest setting."""
+    """Cholesky factor of the Schur complement, with the inverses of its
+    diagonal blocks for :func:`_cholesky_solve`; None on breakdown past the
+    largest regularization.
+
+    On breakdown, M is scaled to unit diagonal, D M D with
+    D = diag(M)^(-1/2), and shifted by reg * I with reg escalating: row i of
+    M is shifted by reg * M_ii, relative to its own scale.  Where M breaks
+    down near an optimum its diagonal can span many orders of magnitude
+    (1e6 to 1e20 on Motzkin-like programs), and a shift relative to the
+    largest entry would swamp the small rows.
+    """
     if not np.isfinite(m).all():
         return None
-    eye = np.eye(m.shape[0])
-    scale = max(float(np.max(np.diag(m))), 1.0)
-    reg = 0.0
+    n = m.shape[0]
+    dsc = np.ones(n)
+    a, reg = m, 0.0
     while True:
         try:
-            return scipy.linalg.cho_factor(m + (reg * scale) * eye, lower=True)
-        except scipy.linalg.LinAlgError:
+            l = np.linalg.cholesky(a)
+            break
+        except np.linalg.LinAlgError:
             reg = _REG_INITIAL if reg == 0.0 else reg * 10.0
             if reg > _REG_MAX:
                 return None
+            diag = np.diag(m)
+            dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+            a = m * np.outer(dsc, dsc) + reg * np.eye(n)
+    k = _SUBST_BLOCK
+    return dsc, l, [np.linalg.inv(l[lo : lo + k, lo : lo + k]) for lo in range(0, n, k)]
+
+
+def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve D^{-1} L L^T D^{-1} x = rhs by blocked forward and back
+    substitution."""
+    dsc, l, invs = factor
+    k = _SUBST_BLOCK
+    x = dsc * rhs
+    for j, inv in enumerate(invs):
+        lo = j * k
+        x[lo : lo + k] = inv @ (x[lo : lo + k] - l[lo : lo + k, :lo] @ x[:lo])
+    for j in reversed(range(len(invs))):
+        lo, hi = j * k, (j + 1) * k
+        x[lo:hi] = invs[j].T @ (x[lo:hi] - l[hi:, lo:hi].T @ x[hi:])
+    return dsc * x
 
 
 def _schur_solve(factor, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs through the (possibly regularized) factor, polished by
     two rounds of iterative refinement against the unregularized matrix."""
-    x = scipy.linalg.cho_solve(factor, rhs)
+    x = _cholesky_solve(factor, rhs)
     for _ in range(2):
-        x = x + scipy.linalg.cho_solve(factor, rhs - m @ x)
+        x = x + _cholesky_solve(factor, rhs - m @ x)
     return x
 
 
@@ -333,12 +442,12 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     slack, a certified duality gap and feasibility residuals."""
     opts = options if options is not None else SolverOptions()
     blocks = problem.blocks
-    amats = _dense_coefficients(problem)
+    coefs = [_block_entries(problem, k) for k in range(len(blocks))]
     cs = [ck.copy() for ck in problem.c]
     b = problem.b.copy()
     m = problem.m
 
-    a_inf = max(float(np.max(np.abs(a))) if a.size else 0.0 for a in amats)
+    a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
     b_inf = float(np.max(np.abs(b)))
     c_inf = max(float(np.max(np.abs(ck))) if ck.size else 0.0 for ck in cs)
     tau = 1.0 + max(b_inf, a_inf, c_inf)
@@ -366,9 +475,9 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     pobj = dobj = gap = feas_p = feas_d = np.nan
 
     for it in range(opts.max_iter + 1):
-        ax = _apply_a(amats, blocks, xs)
+        ax = _apply_a(coefs, xs, m)
         rp = b - ax
-        aty = _apply_at(amats, blocks, y)
+        aty = _apply_at(coefs, blocks, y)
         rd = [ck - at - sk for ck, at, sk in zip(cs, aty, ss)]
         pobj = _inner(blocks, cs, xs)
         dobj = float(b @ y)
@@ -418,7 +527,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             break
 
         try:
-            stepped = _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts)
+            stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu, opts)
         except np.linalg.LinAlgError:
             stepped = None
         if stepped is None:
@@ -441,35 +550,17 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     )
 
 
-def _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts):
+def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu, opts):
     """One Mehrotra predictor-corrector step along the HKM direction.
     Returns the updated (xs, y, ss) or None on factorization breakdown."""
-    # Inverses of the slack blocks and the Schur complement
-    # M[i, j] = <A_i, X A_j S^{-1}>.
-    sinvs = []
-    schur = np.zeros((len(b), len(b)))
-    for blk, a, x, s in zip(blocks, amats, xs, ss):
-        if isinstance(blk, PsdBlock):
-            try:
-                cf = scipy.linalg.cho_factor(s, lower=True)
-            except scipy.linalg.LinAlgError:
-                return None
-            sinv = scipy.linalg.cho_solve(cf, np.eye(blk.dim))
-            sinv = 0.5 * (sinv + sinv.T)
-            sinvs.append(sinv)
-            t = np.einsum("pq,jqr,rs->jps", x, a, sinv, optimize=True)
-            schur += np.einsum("ips,jps->ij", a, t, optimize=True)
-        else:
-            sinv = 1.0 / s
-            sinvs.append(sinv)
-            schur += (a * (x * sinv)) @ a.T
-    schur = 0.5 * (schur + schur.T)
+    m = len(b)
+    schur, sinvs, x_linvs, s_linvs = _schur_complement(blocks, coefs, xs, ss, m)
     factor = _factor_schur(schur)
     if factor is None:
         return None
 
     def a_of(mats):
-        return _apply_a(amats, blocks, mats)
+        return _apply_a(coefs, mats, m)
 
     # Predictor: pure Newton step toward feasibility and zero complementarity.
     rhs_aff = b + a_of(
@@ -479,7 +570,7 @@ def _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts):
         ]
     )
     dy_a = _schur_solve(factor, schur, rhs_aff)
-    at_dy = _apply_at(amats, blocks, dy_a)
+    at_dy = _apply_at(coefs, blocks, dy_a)
     ds_a = [r - at for r, at in zip(rd, at_dy)]
     dx_a = []
     for blk, x, ds, sinv in zip(blocks, xs, ds_a, sinvs):
@@ -489,8 +580,8 @@ def _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts):
         else:
             dx_a.append(-x - x * ds * sinv)
 
-    alpha_p = min(1.0, _max_step(blocks, xs, dx_a))
-    alpha_d = min(1.0, _max_step(blocks, ss, ds_a))
+    alpha_p = min(1.0, _max_step(blocks, x_linvs, xs, dx_a))
+    alpha_d = min(1.0, _max_step(blocks, s_linvs, ss, ds_a))
     x_trial = [x + alpha_p * d for x, d in zip(xs, dx_a)]
     s_trial = [s + alpha_d * d for s, d in zip(ss, ds_a)]
     mu_aff = max(_inner(blocks, x_trial, s_trial), 0.0) / nu
@@ -520,7 +611,7 @@ def _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts):
         )
     )
     dy = _schur_solve(factor, schur, rhs)
-    at_dy = _apply_at(amats, blocks, dy)
+    at_dy = _apply_at(coefs, blocks, dy)
     ds = [r - at for r, at in zip(rd, at_dy)]
     dx = []
     for blk, x, dsk, cr, sinv in zip(blocks, xs, ds, cross, sinvs):
@@ -531,8 +622,8 @@ def _take_step(blocks, amats, b, xs, y, ss, rp, rd, mu, nu, opts):
             dx.append(target * sinv - x - (cr + x * dsk) * sinv)
 
     frac = opts.step_fraction
-    alpha_p = min(1.0, frac * _max_step(blocks, xs, dx))
-    alpha_d = min(1.0, frac * _max_step(blocks, ss, ds))
+    alpha_p = min(1.0, frac * _max_step(blocks, x_linvs, xs, dx))
+    alpha_d = min(1.0, frac * _max_step(blocks, s_linvs, ss, ds))
     if max(alpha_p, alpha_d) < 1e-13:
         return None
 

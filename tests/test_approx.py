@@ -211,6 +211,20 @@ class TestIsSos:
         with pytest.raises(ValueError):
             is_sos(x_(1, 0) ** 4, 1)
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-4, 1.0, 1e2, 1e4, 1e6])
+    def test_scale_invariant(self, motzkin, c):
+        # The SOS threshold applies to g / ||g||_1: a small multiple of a
+        # non-SOS polynomial is still refuted, and a multiple of an SOS one
+        # is still certified, with its residual in g's units.
+        ref = is_sos(c * motzkin, 3)
+        assert isinstance(ref, SosRefutation)
+        assert ref.value < 0.0
+        assert riesz(ref.witness, c * motzkin) == pytest.approx(ref.value)
+        g = c * random_sos(np.random.default_rng(29), 2, 2)
+        cert = is_sos(g, 2)
+        assert isinstance(cert, SosCertificate)
+        assert cert.residual <= 1e-6 * g.l1_norm()
+
 
 class TestUniformPerturbation:
     def test_sos_input_needs_nothing(self):
@@ -299,6 +313,17 @@ class TestVerify:
         report = verify(tampered, f, 3)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"certificate_reconstruction"}
+
+    @pytest.mark.parametrize("solved_at,checked_at", [(3, 4), (4, 3)])
+    def test_result_of_another_degree_fails(self, motzkin, solved_at, checked_at):
+        # The Gram matrix is s(3) x s(3) against s(4) x s(4), or the reverse,
+        # and y* of degree 6 cannot fill a degree-4 moment matrix: report
+        # entries with residual inf, not an exception.
+        res = best_l1_sos_approximation(motzkin, solved_at)
+        checks = {c.name: c for c in verify(res, motzkin, checked_at).checks}
+        for name in ("gram_reproduces_g", "moment_vector_feasible", "certificate_reconstruction"):
+            assert not checks[name].passed
+            assert checks[name].residual == float("inf")
 
     def test_report_renders(self, motzkin_result):
         res, f = motzkin_result

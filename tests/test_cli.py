@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,3 +169,18 @@ class TestErrorPaths:
                      "--max-iter", "2"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+
+def test_runtime_needs_no_scipy(motzkin_file):
+    """Neither importing the package nor running the CLI loads scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import l1sos, l1sos.cli\n"
+        "assert 'scipy' not in sys.modules, 'import l1sos loaded scipy'\n"
+        f"assert l1sos.cli.main(['approx', '--input', {str(motzkin_file)!r}, '--degree', '3']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'l1sos approx loaded scipy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

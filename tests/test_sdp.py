@@ -9,9 +9,14 @@ from l1sos import (
     Status,
     SymEntries,
     VecEntries,
+    best_l1_sos_approximation,
     solve,
+    verify,
 )
+from l1sos import sdp
 from l1sos.approx import assemble_reduced_dual, motzkin_like
+
+from conftest import dense_polynomial
 
 
 def lmi_max_y():
@@ -202,3 +207,117 @@ class TestValidation:
                 constraints=({0: VecEntries([0], [1.0])},),
                 b=[1.0],
             )
+
+
+def random_conic_problem(rng, dims=(5, 3), count=4, m=9):
+    """Random program with two PSD blocks and a nonnegative block.  Every
+    constraint repeats one PSD entry, once as (r, c) and once as (c, r),
+    and one nonnegative index; constraint 0 has no entry in PSD block 1 and
+    constraint 1 none in the nonnegative block."""
+    constraints = []
+    for i in range(m):
+        con = {}
+        for k, dim in enumerate(dims):
+            if (i, k) == (0, 1):
+                continue
+            nnz = int(rng.integers(1, 2 * dim))
+            rows = rng.integers(0, dim, nnz)
+            cols = rng.integers(0, dim, nnz)
+            rows = np.append(rows, [rows[0], cols[0]])
+            cols = np.append(cols, [cols[0], rows[0]])
+            con[k] = SymEntries(rows, cols, rng.standard_normal(rows.size))
+        if i != 1:
+            idx = rng.integers(0, count, 3)
+            con[len(dims)] = VecEntries(np.append(idx, idx[0]), rng.standard_normal(4))
+        constraints.append(con)
+    blocks = tuple(PsdBlock(dim) for dim in dims) + (NonNegBlock(count),)
+    c = tuple(np.zeros((dim, dim)) for dim in dims) + (np.zeros(count),)
+    return ConicProblem(blocks, c, tuple(constraints), rng.standard_normal(m))
+
+
+def dense_reference(problem):
+    """Each block's coefficients as a dense (m, dim, dim) or (m, count)
+    array, summing repeated entries; an entry at (r, c), r != c, also fills
+    (c, r)."""
+    out = []
+    for k, blk in enumerate(problem.blocks):
+        psd = isinstance(blk, PsdBlock)
+        arr = np.zeros((problem.m, blk.dim, blk.dim) if psd else (problem.m, blk.count))
+        for i, con in enumerate(problem.constraints):
+            ent = con.get(k)
+            if ent is None:
+                continue
+            if psd:
+                for r, c, v in zip(ent.rows, ent.cols, ent.vals):
+                    arr[i, r, c] += v
+                    if r != c:
+                        arr[i, c, r] += v
+            else:
+                for j, v in zip(ent.idx, ent.vals):
+                    arr[i, j] += v
+        out.append(arr)
+    return out
+
+
+def random_interior(rng, problem):
+    """Positive definite (or positive) X and S, one block each."""
+    xs, ss = [], []
+    for blk in problem.blocks:
+        for out in (xs, ss):
+            if isinstance(blk, PsdBlock):
+                g = rng.standard_normal((blk.dim, blk.dim))
+                out.append(g @ g.T + 0.1 * np.eye(blk.dim))
+            else:
+                out.append(rng.uniform(0.1, 2.0, blk.count))
+    return xs, ss
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestKernels:
+    """A, A^T and the Schur complement against dense einsums."""
+
+    def test_apply_a_and_transpose(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_conic_problem(rng)
+        coefs = [sdp._block_entries(problem, k) for k in range(len(problem.blocks))]
+        dense = dense_reference(problem)
+        xs, _ = random_interior(rng, problem)
+        y = rng.standard_normal(problem.m)
+        ref_a = sum(
+            np.einsum("ipq,pq->i", a, x) if a.ndim == 3 else a @ x for a, x in zip(dense, xs)
+        )
+        assert rel_diff(sdp._apply_a(coefs, xs, problem.m), ref_a) <= 1e-13
+        for at, a in zip(sdp._apply_at(coefs, problem.blocks, y), dense):
+            ref = np.einsum("i,i...->...", y, a)
+            assert rel_diff(at, ref) <= 1e-13
+            if at.ndim == 2:
+                assert np.array_equal(at, at.T)
+
+    def test_schur_complement(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_conic_problem(rng)
+        coefs = [sdp._block_entries(problem, k) for k in range(len(problem.blocks))]
+        xs, ss = random_interior(rng, problem)
+        schur = sdp._schur_complement(problem.blocks, coefs, xs, ss, problem.m)[0]
+        ref = np.zeros((problem.m, problem.m))
+        for a, x, s in zip(dense_reference(problem), xs, ss):
+            if a.ndim == 3:
+                # M[i, j] = <A_i, X A_j S^{-1}>
+                ref += np.einsum("ipq,qr,jrs,sp->ij", a, x, a, np.linalg.inv(s))
+            else:
+                ref += (a * (x / s)) @ a.T
+        assert rel_diff(schur, ref) <= 1e-13
+        eigs = np.linalg.eigvalsh(schur)
+        assert eigs[0] >= -1e-12 * eigs[-1]
+
+
+@pytest.mark.parametrize("n,d,seed", [(3, 5, 0), (3, 5, 1), (4, 4, 0), (4, 4, 1)])
+def test_dense_inputs_solve_and_verify(n, d, seed):
+    f = dense_polynomial(np.random.default_rng(seed), n, 2 * d)
+    res = best_l1_sos_approximation(f, d)
+    report = verify(res, f, d)
+    assert report.all_passed, str(report)

@@ -14,7 +14,6 @@ from l1sos import (
     assemble_reduced_dual,
     basis_products,
     best_l1_sos_approximation,
-    enumerate_basis,
     is_sos,
     moment_matrix,
     riesz,
@@ -22,6 +21,8 @@ from l1sos import (
     uniform_sos_perturbation,
     verify,
 )
+
+from conftest import dense_polynomial
 
 # Reduced and unreduced optima must agree to this absolute tolerance.
 AGREE_TOL = 1e-7
@@ -31,11 +32,6 @@ T = Polynomial.variable(1, 0)
 # Only the joint flip (x1, x2) -> (-x1, -x2) fixes it.
 JOINT_FLIP = X1**2 * X2**2 - X1 * X2 + 1.0
 EVEN_UNIVARIATE = T**4 - 3.0 * T**2 + 1.0
-
-
-def dense_polynomial(rng, n, degree):
-    basis = enumerate_basis(n, degree)
-    return Polynomial(n, dict(zip(basis.monomials, rng.standard_normal(len(basis)))))
 
 
 def partition_of(f, d):
