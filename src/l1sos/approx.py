@@ -16,11 +16,11 @@ whose moment-side counterpart
 is what actually gets handed to the conic solver: its constraint
 multipliers are exactly (X*, lam*) where X* is the Gram matrix of g, its
 variables give the optimal moment vector y*, and rho = -L_{y*}(f) with zero
-duality gap.  The solver gets one PSD block per class of basis monomials
-under the sign flips that fix f, and the results carry the blocks
-reassembled into the full Gram matrix and moment vector.  A
-coefficient-wise formulation over all of R[x]_{2d} is kept behind
-``full_form=True`` for cross-validation on tiny instances.
+duality gap.  With the multipliers tied to one epsilon the same program
+gives the uniform baseline, and with none the SOS membership test; all
+three share one solve, in one PSD block per class of basis monomials under
+the sign flips that fix f.  :func:`assemble_full_form`, a coefficient-wise
+formulation, is kept as a cross-check on tiny instances.
 """
 
 from __future__ import annotations
@@ -232,20 +232,6 @@ class _SignPartition:
         """One class and every constraint: the unreduced program."""
         return cls((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
 
-    def gram(self, blocks) -> np.ndarray:
-        """The full Gram matrix carrying each block on its class."""
-        s = sum(idx.size for idx in self.classes)
-        out = np.zeros((s, s))
-        for idx, x in zip(self.classes, blocks):
-            out[np.ix_(idx, idx)] = x
-        return out
-
-    def moments(self, values: np.ndarray, size: int) -> np.ndarray:
-        """The full moment vector, zero off the invariant monomials."""
-        out = np.zeros(size)
-        out[self.invariant] = values
-        return out
-
 
 def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
     """Split the moment-side programs of f by the sign flips that fix f.
@@ -334,7 +320,8 @@ def assemble_full_form(f: Polynomial, d: int) -> ConicProblem:
     |f_alpha - g_alpha| <= lam_alpha with g ranging over SOS polynomials.
 
     Much larger than the reduced program (2 s(2d) constraints instead of
-    s(2d)); kept for cross-validation on tiny instances.
+    s(2d)); kept for cross-validation on tiny instances, where its optimal
+    value ``solve(assemble_full_form(f, d)).primal_objective`` is rho.
     """
     _check_degree(f, d)
     n = f.n
@@ -410,15 +397,45 @@ def _report(sol: ConicSolution) -> SolverReport:
     )
 
 
-def _perturbation(n: int, pattern, lam: np.ndarray) -> Polynomial:
-    return Polynomial(n, {mono: v for mono, v in zip(pattern, lam)})
+def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
+    return Polynomial(n, dict(zip(_perturbation_monomials(n, two_d), lam)))
+
+
+def _failure_message(sol: ConicSolution) -> str:
+    return (
+        f"conic solve ended with status {sol.status.value} after "
+        f"{sol.iterations} iterations (gap={sol.gap:.3e}, "
+        f"feas_primal={sol.feas_primal:.3e}, feas_dual={sol.feas_dual:.3e})"
+    )
+
+
+def _solve_moment_side(
+    f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
+) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
+    """Solve the moment-side program of f at degree bound 2d in sign-symmetry
+    blocks, with ``multipliers`` perturbation multipliers (see
+    :func:`_assemble_moment_side`); raise SolverFailure unless it is optimal.
+
+    Returns the basis products, the full Gram matrix carrying each block on
+    its class, the raw multipliers (empty for none), y* (zero off the
+    invariant monomials) and the solution.
+    """
+    bp = basis_products(f.n, d)
+    partition = _sign_partition(f, bp)
+    sol = solve(_assemble_moment_side(f, bp, partition, multipliers), options)
+    if sol.status != Status.OPTIMAL:
+        raise SolverFailure(_failure_message(sol), sol)
+    gram = np.zeros((len(bp.basis), len(bp.basis)))
+    for idx, x in zip(partition.classes, sol.primal):
+        gram[np.ix_(idx, idx)] = x
+    y_vals = np.zeros(len(bp.product_basis))
+    y_vals[partition.invariant] = -sol.dual
+    raw = sol.primal[-1] if multipliers else np.zeros(0)
+    return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
 
 def best_l1_sos_approximation(
-    f: Polynomial,
-    d: int,
-    options: SolverOptions | None = None,
-    full_form: bool = False,
+    f: Polynomial, d: int, options: SolverOptions | None = None
 ) -> ApproximationResult:
     """Closest SOS polynomial of degree <= 2d to f in the l1 coefficient
     norm, together with the distance, multipliers, moment vector, Gram
@@ -439,45 +456,10 @@ def best_l1_sos_approximation(
             stacklevel=2,
         )
 
-    n = f.n
-    pattern = _perturbation_monomials(n, 2 * d)
-    bp = basis_products(n, d)
-
-    if full_form:
-        # Coefficient-wise encoding: same optimal value, but the optimizer
-        # may be any point of the optimal face, so g is read off the Gram
-        # block rather than rebuilt from the n + 1 structured multipliers.
-        # On instances with a unique approximant the two encodings coincide.
-        problem = assemble_full_form(f, d)
-        sol = solve(problem, options)
-        if sol.status != Status.OPTIMAL:
-            raise SolverFailure(_failure_message(sol), sol)
-        m1 = len(bp.product_basis)
-        lam_all = np.clip(np.asarray(sol.primal[1]), 0.0, None)
-        lam = np.array([lam_all[bp.product_basis.index_of(p)] for p in pattern])
-        gram = np.asarray(sol.primal[0])
-        g = bp.gram_polynomial(gram)
-        y_star = MomentVector(bp.product_basis, sol.dual[m1:] - sol.dual[:m1])
-        certificate = _extract_certificate(gram, bp, g)
-        return ApproximationResult(
-            lam=lam,
-            rho=(g - f).l1_norm(),
-            g=g,
-            y_star=y_star,
-            gram=gram,
-            certificate=certificate,
-            solver=_report(sol),
-        )
-    partition = _sign_partition(f, bp)
-    sol = solve(_assemble_moment_side(f, bp, partition, n + 1), options)
-    if sol.status != Status.OPTIMAL:
-        raise SolverFailure(_failure_message(sol), sol)
-    lam = _clip_multipliers(np.asarray(sol.primal[-1]), sol)
-    gram = partition.gram(sol.primal[:-1])
-    y_vals = partition.moments(-sol.dual, len(bp.product_basis))
-
+    bp, gram, raw, y_star, sol = _solve_moment_side(f, d, f.n + 1, options)
+    lam = _clip_multipliers(raw, sol)
     rho = float(lam.sum())
-    g = f + _perturbation(n, pattern, lam)
+    g = f + _perturbation(f.n, 2 * d, lam)
     # Cross-check the two reconstructions of g: from the multipliers and
     # from the Gram block.  A mismatch means the solve was not as accurate
     # as its status claims.
@@ -487,7 +469,6 @@ def best_l1_sos_approximation(
         raise SolverFailure(
             f"Gram matrix reproduces g only to {gram_dev:.3e} (needs {gram_tol:.3e})", sol
         )
-    y_star = MomentVector(bp.product_basis, y_vals)
     certificate = _extract_certificate(gram, bp, g)
     return ApproximationResult(
         lam=lam,
@@ -497,14 +478,6 @@ def best_l1_sos_approximation(
         gram=gram,
         certificate=certificate,
         solver=_report(sol),
-    )
-
-
-def _failure_message(sol: ConicSolution) -> str:
-    return (
-        f"conic solve ended with status {sol.status.value} after "
-        f"{sol.iterations} iterations (gap={sol.gap:.3e}, "
-        f"feas_primal={sol.feas_primal:.3e}, feas_dual={sol.feas_dual:.3e})"
     )
 
 
@@ -532,17 +505,16 @@ def is_sos(
     if g.is_zero():
         return SosCertificate((), (), 0.0)
     d0 = max(1, (g.degree() + 1) // 2)
-    bp = basis_products(g.n, d0)
     norm = g.l1_norm()
     unit = g * (1.0 / norm)
-    partition = _sign_partition(unit, bp)
-    sol = solve(_assemble_moment_side(unit, bp, partition, 0), options)
-    if sol.status == Status.OPTIMAL:
-        return _extract_certificate(norm * partition.gram(sol.primal), bp, g)
-    result = best_l1_sos_approximation(unit, d0, options)
-    if result.rho <= _SOS_RHO_TOL:
-        return _extract_certificate(norm * result.gram, bp, g)
-    return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
+    try:
+        bp, gram = _solve_moment_side(unit, d0, 0, options)[:2]
+    except SolverFailure:
+        result = best_l1_sos_approximation(unit, d0, options)
+        if result.rho > _SOS_RHO_TOL:
+            return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
+        bp, gram = basis_products(g.n, d0), result.gram
+    return _extract_certificate(norm * gram, bp, g)
 
 
 def uniform_sos_perturbation(
@@ -554,13 +526,8 @@ def uniform_sos_perturbation(
     _check_degree(f, d)
     if f.is_zero():
         return 0.0, f
-    bp = basis_products(f.n, d)
-    sol = solve(_assemble_moment_side(f, bp, _sign_partition(f, bp), 1), options)
-    if sol.status != Status.OPTIMAL:
-        raise SolverFailure(_failure_message(sol), sol)
-    eps = float(max(sol.primal[-1][0], 0.0))
-    pattern = _perturbation_monomials(f.n, 2 * d)
-    g = f + _perturbation(f.n, pattern, np.full(f.n + 1, eps))
+    eps = float(max(_solve_moment_side(f, d, 1, options)[2][0], 0.0))
+    g = f + _perturbation(f.n, 2 * d, np.full(f.n + 1, eps))
     return eps, g
 
 
@@ -627,9 +594,10 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     psd_tol = 1e-8 * (1.0 + lmax)
     checks.append(Check("gram_psd", psd_res <= psd_tol, psd_res, psd_tol))
 
-    # Zero duality gap: rho = -L_{y*}(f).
+    # Zero duality gap: rho = -L_{y*}(f).  The absolute part scales down
+    # with ||f||_1, or a tiny f would pass with a gap larger than rho.
     gap_res = abs(rho + riesz(result.y_star, f))
-    gap_tol = 1e-7 * (1.0 + rho)
+    gap_tol = 1e-7 * (min(1.0, f.l1_norm()) + rho)
     checks.append(Check("zero_duality_gap", gap_res <= gap_tol, gap_res, gap_tol))
 
     # y* is feasible for the moment-side program.

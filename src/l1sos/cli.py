@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +29,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 
-_COMMANDS = ("approx", "check-sos", "baseline", "reproduce-table1")
-
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    degree: int | None = None
-    fmt: str = "table"
-    out: str | None = None
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-    full_form: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +53,12 @@ def _build_parser() -> _Parser:
                            help="degree bound d (approximant degree <= 2d)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--gap-tol", type=float, default=1e-8)
-        p.add_argument("--feas-tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=200)
+        p.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
+        p.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
+        p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
     p_approx = sub.add_parser("approx", help="best l1-norm SOS approximation")
     add_common(p_approx, needs_input=True)
-    p_approx.add_argument("--full-form", action="store_true",
-                          help="solve the coefficient-wise program instead of the "
-                               "reduced one (cross-validation; small instances only)")
 
     p_check = sub.add_parser("check-sos", help="SOS membership test")
     add_common(p_check, needs_input=True)
@@ -91,25 +72,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _check_args(args: argparse.Namespace) -> None:
     if args.command is None:
-        raise UsageError(f"missing command (one of: {', '.join(_COMMANDS)})")
-    cfg = RunConfig(command=args.command)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.degree = getattr(args, "degree", None)
-    cfg.fmt = args.format
-    cfg.out = args.out
-    cfg.gap_tol = args.gap_tol
-    cfg.feas_tol = args.feas_tol
-    cfg.max_iter = args.max_iter
-    cfg.full_form = getattr(args, "full_form", False)
-    if cfg.degree is not None and cfg.degree < 1:
+        raise UsageError(f"missing command (one of: {', '.join(_RUNNERS)})")
+    if getattr(args, "degree", 1) < 1:
         raise UsageError("--degree must be >= 1")
-    return cfg
+    if args.max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
+    for flag, tol in (("--gap-tol", args.gap_tol), ("--feas-tol", args.feas_tol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise UsageError(f"{flag} must be finite and > 0")
 
 
-def _solver_options(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol, max_iter=cfg.max_iter)
+def _solver_options(args: argparse.Namespace) -> SolverOptions:
+    return SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol, max_iter=args.max_iter)
 
 
 def _load_polynomial(path: str) -> poly.Polynomial:
@@ -204,25 +180,23 @@ def _result_rows(rows: list[tuple[int, ap.ApproximationResult]]) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_approx(cfg: RunConfig) -> str:
-    f = _load_polynomial(cfg.input_path)
-    res = ap.best_l1_sos_approximation(
-        f, cfg.degree, options=_solver_options(cfg), full_form=cfg.full_form
-    )
-    if cfg.fmt == "json":
+def _cmd_approx(args: argparse.Namespace) -> str:
+    f = _load_polynomial(args.input)
+    res = ap.best_l1_sos_approximation(f, args.degree, options=_solver_options(args))
+    if args.format == "json":
         out = {"command": "approx"}
-        out.update(_result_dict(res, cfg.degree))
+        out.update(_result_dict(res, args.degree))
         return _dumps(out) + "\n"
-    return _result_rows([(cfg.degree, res)])
+    return _result_rows([(args.degree, res)])
 
 
-def _cmd_check_sos(cfg: RunConfig) -> str:
-    g = _load_polynomial(cfg.input_path)
-    res = ap.is_sos(g, cfg.degree, options=_solver_options(cfg))
-    if cfg.fmt == "json":
+def _cmd_check_sos(args: argparse.Namespace) -> str:
+    g = _load_polynomial(args.input)
+    res = ap.is_sos(g, args.degree, options=_solver_options(args))
+    if args.format == "json":
         out = {
             "command": "check-sos",
-            "d": cfg.degree,
+            "d": args.degree,
             "is_sos": res.is_sos,
             "certificate": _certificate_dict(res) if res.is_sos else None,
             "witness": None
@@ -245,13 +219,13 @@ def _cmd_check_sos(cfg: RunConfig) -> str:
     )
 
 
-def _cmd_baseline(cfg: RunConfig) -> str:
-    f = _load_polynomial(cfg.input_path)
-    eps, g = ap.uniform_sos_perturbation(f, cfg.degree, options=_solver_options(cfg))
-    if cfg.fmt == "json":
+def _cmd_baseline(args: argparse.Namespace) -> str:
+    f = _load_polynomial(args.input)
+    eps, g = ap.uniform_sos_perturbation(f, args.degree, options=_solver_options(args))
+    if args.format == "json":
         out = {
             "command": "baseline",
-            "d": cfg.degree,
+            "d": args.degree,
             "epsilon": eps,
             "g": poly.to_json_dict(g),
         }
@@ -259,13 +233,13 @@ def _cmd_baseline(cfg: RunConfig) -> str:
     return f"epsilon* = {eps:.6e}\ng = {g}\n"
 
 
-def _cmd_reproduce_table1(cfg: RunConfig) -> str:
+def _cmd_reproduce_table1(args: argparse.Namespace) -> str:
     f = ap.motzkin_like()
     rows = []
     for d in (3, 4, 5):
-        res = ap.best_l1_sos_approximation(f, d, options=_solver_options(cfg))
+        res = ap.best_l1_sos_approximation(f, d, options=_solver_options(args))
         rows.append((d, res))
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = {
             "command": "reproduce-table1",
             "rows": [_result_dict(res, d) for d, res in rows],
@@ -282,10 +256,10 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a command, write its report, and return the exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command, write its report, and return the exit code."""
     try:
-        report = _RUNNERS[config.command](config)
+        report = _RUNNERS[args.command](args)
     except ap.SolverFailure as exc:
         print(f"l1sos: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -298,8 +272,8 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"l1sos: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
     else:
         sys.stdout.write(report)
@@ -310,11 +284,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        _check_args(args)
     except UsageError as exc:
         print(f"l1sos: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ _REG_INITIAL = 1e-12
 _REG_MAX = 1e-6
 # Block size of the substitution in the Schur solve.
 _SUBST_BLOCK = 64
+# Share of the distance to the cone boundary that a step may cover.
+_STEP_FRACTION = 0.98
 
 
 class Status(str, enum.Enum):
@@ -189,7 +191,6 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.98
     trace: bool = False
 
 
@@ -527,7 +528,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             break
 
         try:
-            stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu, opts)
+            stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu)
         except np.linalg.LinAlgError:
             stepped = None
         if stepped is None:
@@ -550,7 +551,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     )
 
 
-def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu, opts):
+def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     """One Mehrotra predictor-corrector step along the HKM direction.
     Returns the updated (xs, y, ss) or None on factorization breakdown."""
     m = len(b)
@@ -621,9 +622,8 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu, opts):
         else:
             dx.append(target * sinv - x - (cr + x * dsk) * sinv)
 
-    frac = opts.step_fraction
-    alpha_p = min(1.0, frac * _max_step(blocks, x_linvs, xs, dx))
-    alpha_d = min(1.0, frac * _max_step(blocks, s_linvs, ss, ds))
+    alpha_p = min(1.0, _STEP_FRACTION * _max_step(blocks, x_linvs, xs, dx))
+    alpha_d = min(1.0, _STEP_FRACTION * _max_step(blocks, s_linvs, ss, ds))
     if max(alpha_p, alpha_d) < 1e-13:
         return None
 

@@ -9,6 +9,7 @@ from l1sos import (
     SolverOptions,
     SosCertificate,
     SosRefutation,
+    Status,
     assemble_full_form,
     assemble_reduced_dual,
     basis_products,
@@ -18,6 +19,7 @@ from l1sos import (
     moment_matrix,
     motzkin_like,
     riesz,
+    solve,
     uniform_sos_perturbation,
     verify,
 )
@@ -103,9 +105,13 @@ class TestBestApproximation:
         assert np.all(res.lam == 0.0)
         assert res.solver.iterations == 0
 
-    def test_solver_failure_propagates(self, motzkin):
+    @pytest.mark.parametrize(
+        "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_solver_failure_propagates(self, motzkin, entry):
         with pytest.raises(SolverFailure) as err:
-            best_l1_sos_approximation(motzkin, 3, options=SolverOptions(max_iter=2))
+            entry(motzkin, 3, options=SolverOptions(max_iter=2))
         assert err.value.solution is not None
         assert "max_iterations" in str(err.value)
 
@@ -160,12 +166,9 @@ class TestFullForm:
     def test_agrees_with_reduced(self, f, d):
         f = f()
         reduced = best_l1_sos_approximation(f, d)
-        full = best_l1_sos_approximation(f, d, full_form=True)
-        assert abs(reduced.rho - full.rho) <= 1e-6
-
-    def test_motzkin_full_form_verifies(self, motzkin):
-        res = best_l1_sos_approximation(motzkin, 3, full_form=True)
-        assert verify(res, motzkin, 3).all_passed
+        full = solve(assemble_full_form(f, d))
+        assert full.status == Status.OPTIMAL
+        assert abs(reduced.rho - full.primal_objective) <= 1e-6
 
 
 class TestIsSos:
@@ -324,6 +327,18 @@ class TestVerify:
         for name in ("gram_reproduces_g", "moment_vector_feasible", "certificate_reconstruction"):
             assert not checks[name].passed
             assert checks[name].residual == float("inf")
+
+    @pytest.mark.filterwarnings("ignore:input has l1 norm")
+    @pytest.mark.parametrize("c,d", [(1e-6, 5), (1e-3, 5), (1e-3, 6)])
+    def test_small_scale_result_judged_by_its_accuracy(self, motzkin, c, d):
+        # The solver stops early on tiny multiples of f (at c = 1e-6, d = 5
+        # rho is 23 times the true distance, with an absolute gap above rho
+        # itself).  verify passes exactly the results whose rho / c agrees
+        # with the unscaled rho.
+        rho_1 = best_l1_sos_approximation(motzkin, d).rho
+        res = best_l1_sos_approximation(c * motzkin, d)
+        right = abs(res.rho / c - rho_1) <= 1e-3 * rho_1
+        assert verify(res, c * motzkin, d).all_passed == right, f"rho / c = {res.rho / c:.4e}"
 
     def test_report_renders(self, motzkin_result):
         res, f = motzkin_result

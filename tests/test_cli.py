@@ -70,12 +70,6 @@ class TestApproxCommand:
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_full_form_flag(self, motzkin_file, capsys):
-        assert main(
-            ["approx", "--input", str(motzkin_file), "--degree", "3", "--full-form"]
-        ) == 0
-        assert "1.6178e-02" in capsys.readouterr().out
-
     def test_json_input_accepted(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
         path.write_text('{"n": 1, "terms": [{"c": 1.0, "e": [2]}, {"c": 1.0, "e": [0]}]}')
@@ -163,6 +157,20 @@ class TestErrorPaths:
 
     def test_missing_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--degree", "0"),
+        ("--max-iter", "-1"),
+        ("--max-iter", "0"),
+        ("--gap-tol", "-1"),
+        ("--gap-tol", "nan"),
+        ("--gap-tol", "inf"),
+        ("--feas-tol", "0"),
+    ])
+    def test_invalid_flag(self, motzkin_file, capsys, flag, value):
+        code = main(["approx", "--input", str(motzkin_file), "--degree", "3", flag, value])
+        assert code == 1
+        assert flag in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, motzkin_file, capsys):
         code = main(["approx", "--input", str(motzkin_file), "--degree", "3",
