@@ -48,12 +48,11 @@ from .poly import (
 from .sdp import (
     ConicProblem,
     ConicSolution,
+    Entries,
     NonNegBlock,
     PsdBlock,
     SolverOptions,
     Status,
-    SymEntries,
-    VecEntries,
     solve,
 )
 
@@ -64,6 +63,7 @@ __all__ = [
     "BasisProducts",
     "ConicProblem",
     "ConicSolution",
+    "Entries",
     "MomentVector",
     "Monomial",
     "MonomialBasis",
@@ -76,8 +76,6 @@ __all__ = [
     "SosCertificate",
     "SosRefutation",
     "Status",
-    "SymEntries",
-    "VecEntries",
     "VerificationReport",
     "assemble_full_form",
     "assemble_reduced_dual",

@@ -19,8 +19,10 @@ variables give the optimal moment vector y*, and rho = -L_{y*}(f) with zero
 duality gap.  With the multipliers tied to one epsilon the same program
 gives the uniform baseline, and with none the SOS membership test; all
 three share one solve, in one PSD block per class of basis monomials under
-the sign flips that fix f.  :func:`assemble_full_form`, a coefficient-wise
-formulation, is kept as a cross-check on tiny instances.
+the sign flips that fix f.  Each block's constraint coefficients are one
+:class:`~l1sos.sdp.Entries`, read from the upper triangle of the label
+matrix with one mask per class.  :func:`assemble_full_form`, a
+coefficient-wise formulation, is kept as a cross-check on tiny instances.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ from .poly import Monomial, Polynomial
 from .sdp import (
     ConicProblem,
     ConicSolution,
+    Entries,
     NonNegBlock,
     PsdBlock,
     SolverOptions,
     Status,
-    SymEntries,
-    VecEntries,
     solve,
 )
 
@@ -214,6 +215,13 @@ def _gram_tolerance(g: Polynomial) -> float:
     return 1e-7 * max([1.0] + [abs(c) for c in g.terms.values()])
 
 
+def _gap_tolerance(f: Polynomial, rho: float) -> float:
+    """Allowed |rho + L_{y*}(f)|: 1e-7 (min(1, ||f||_1) + rho).  The absolute
+    part scales down with ||f||_1, or a tiny f would pass with a gap larger
+    than rho."""
+    return 1e-7 * (min(1.0, f.l1_norm()) + rho)
+
+
 @dataclass(frozen=True, eq=False)
 class _SignPartition:
     """Block structure of the moment-side programs of f.
@@ -276,30 +284,34 @@ def _assemble_moment_side(
     Gram blocks followed by a nonnegative block of ``multipliers``
     perturbation multipliers: n + 1 free ones, 1 that ties the lam_i to a
     single epsilon, or none for the SOS membership program of f itself.
+    Block k's entries are the upper-triangle pairs of class k, on the
+    constraint of their label.
     """
-    pattern = _perturbation_monomials(f.n, 2 * bp.basis.degree)
-    pattern_index = {mono: i for i, mono in enumerate(pattern)}
-    classes = partition.classes
-    blocks: list[PsdBlock | NonNegBlock] = [PsdBlock(idx.size) for idx in classes]
-    c = [np.zeros((idx.size, idx.size)) for idx in classes]
+    s = len(bp.basis)
+    con_of = np.full(len(bp.product_basis), -1)
+    con_of[partition.invariant] = np.arange(partition.invariant.size)
+    rows, cols = np.triu_indices(s)
+    con = con_of[bp.labels[rows, cols]]
+    blocks: list[PsdBlock | NonNegBlock] = []
+    c, coefs = [], []
+    for idx in partition.classes:
+        local = np.full(s, -1)
+        local[idx] = np.arange(idx.size)
+        # A pair shares a class exactly when its label keeps a constraint.
+        mask = (local[rows] >= 0) & (con >= 0)
+        blocks.append(PsdBlock(idx.size))
+        c.append(np.zeros((idx.size, idx.size)))
+        coefs.append(Entries(con[mask], local[rows[mask]], local[cols[mask]], np.ones(mask.sum())))
     if multipliers:
+        # The perturbation monomials are even, so each keeps its constraint.
+        pattern = _perturbation_monomials(f.n, 2 * bp.basis.degree)
+        pat_con = con_of[[bp.product_basis.index_of(mono) for mono in pattern]]
+        slots = np.arange(f.n + 1) if multipliers > 1 else np.zeros(f.n + 1, dtype=int)
         blocks.append(NonNegBlock(multipliers))
         c.append(np.ones(multipliers))
-    rows, cols, bounds = bp.upper_groups(classes)
+        coefs.append(Entries(pat_con, slots, slots, -np.ones(f.n + 1)))
     b = _padded_coefficients(f, bp.product_basis)[0][partition.invariant]
-    monomials = bp.product_basis.monomials
-    constraints = []
-    for a in partition.invariant.tolist():
-        con: dict[int, SymEntries | VecEntries] = {}
-        for k in range(len(classes)):
-            lo, hi = bounds[a * len(classes) + k : a * len(classes) + k + 2]
-            if lo < hi:
-                con[k] = SymEntries(rows[lo:hi], cols[lo:hi], np.ones(hi - lo))
-        slot = pattern_index.get(monomials[a])
-        if slot is not None and multipliers:
-            con[len(classes)] = VecEntries([slot if multipliers > 1 else 0], [-1.0])
-        constraints.append(con)
-    return ConicProblem(tuple(blocks), tuple(c), tuple(constraints), b)
+    return ConicProblem(tuple(blocks), tuple(c), tuple(coefs), b)
 
 
 def assemble_reduced_dual(f: Polynomial, d: int) -> ConicProblem:
@@ -324,26 +336,28 @@ def assemble_full_form(f: Polynomial, d: int) -> ConicProblem:
     value ``solve(assemble_full_form(f, d)).primal_objective`` is rho.
     """
     _check_degree(f, d)
-    n = f.n
-    bp = basis_products(n, d)
+    bp = basis_products(f.n, d)
     s = len(bp.basis)
     m1 = len(bp.product_basis)
     fvec = _padded_coefficients(f, bp.product_basis)[0]
-    rows, cols, bounds = bp.upper_groups((np.arange(s),))
-    # Blocks: Gram matrix X, lam, slack u (plus side), slack v (minus side).
+    rows, cols = np.triu_indices(s)
+    labels = bp.labels[rows, cols]
+    k = np.arange(m1)
+    # Blocks: Gram matrix X, lam, slack u (plus side), slack v (minus side);
+    # constraint k reads <X, B_k> + lam_k - u_k = f_k, and constraint m1 + k
+    # reads -<X, B_k> + lam_k - v_k = -f_k.
     blocks = (PsdBlock(s), NonNegBlock(m1), NonNegBlock(m1), NonNegBlock(m1))
     c = (np.zeros((s, s)), np.ones(m1), np.zeros(m1), np.zeros(m1))
-    constraints = []
-    b = np.concatenate([fvec, -fvec])
-    for sign, slack_block in ((1.0, 2), (-1.0, 3)):
-        for k in range(m1):
-            lo, hi = bounds[k], bounds[k + 1]
-            constraints.append({
-                0: SymEntries(rows[lo:hi], cols[lo:hi], sign * np.ones(hi - lo)),
-                1: VecEntries([k], [1.0]),
-                slack_block: VecEntries([k], [-1.0]),
-            })
-    return ConicProblem(blocks, c, tuple(constraints), b)
+    coefs = (
+        Entries(
+            np.concatenate([labels, labels + m1]), np.tile(rows, 2), np.tile(cols, 2),
+            np.repeat([1.0, -1.0], labels.size),
+        ),
+        Entries(np.concatenate([k, k + m1]), np.tile(k, 2), np.tile(k, 2), np.ones(2 * m1)),
+        Entries(k, k, k, -np.ones(m1)),
+        Entries(k + m1, k, k, -np.ones(m1)),
+    )
+    return ConicProblem(blocks, c, coefs, np.concatenate([fvec, -fvec]))
 
 
 def _extract_certificate(gram: np.ndarray, bp: BasisProducts, g: Polynomial) -> SosCertificate:
@@ -442,7 +456,8 @@ def best_l1_sos_approximation(
     matrix and an explicit certificate.
 
     Raises SolverFailure (with the raw solution attached) if the conic
-    solver does not reach Optimal status.
+    solver does not reach Optimal status, or if its Gram matrix or its
+    duality gap misses the accuracy that :func:`verify` asks of a result.
     """
     _check_degree(f, d)
     if f.is_zero():
@@ -469,6 +484,10 @@ def best_l1_sos_approximation(
         raise SolverFailure(
             f"Gram matrix reproduces g only to {gram_dev:.3e} (needs {gram_tol:.3e})", sol
         )
+    gap = abs(rho + riesz(y_star, f))
+    gap_tol = _gap_tolerance(f, rho)
+    if gap > gap_tol:
+        raise SolverFailure(f"duality gap {gap:.3e} exceeds {gap_tol:.3e}", sol)
     certificate = _extract_certificate(gram, bp, g)
     return ApproximationResult(
         lam=lam,
@@ -594,10 +613,9 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     psd_tol = 1e-8 * (1.0 + lmax)
     checks.append(Check("gram_psd", psd_res <= psd_tol, psd_res, psd_tol))
 
-    # Zero duality gap: rho = -L_{y*}(f).  The absolute part scales down
-    # with ||f||_1, or a tiny f would pass with a gap larger than rho.
+    # Zero duality gap: rho = -L_{y*}(f).
     gap_res = abs(rho + riesz(result.y_star, f))
-    gap_tol = 1e-7 * (min(1.0, f.l1_norm()) + rho)
+    gap_tol = _gap_tolerance(f, rho)
     checks.append(Check("zero_duality_gap", gap_res <= gap_tol, gap_res, gap_tol))
 
     # y* is feasible for the moment-side program.

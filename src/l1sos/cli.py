@@ -273,8 +273,12 @@ def run(args: argparse.Namespace) -> int:
         print(f"l1sos: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"l1sos: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(report)
     return EXIT_OK

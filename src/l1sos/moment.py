@@ -10,7 +10,9 @@ basis-product matrices ``B_alpha`` are the 0/1 symmetric matrices satisfying
 so that a polynomial g of degree <= 2d is a sum of squares exactly when
 g_alpha = <X, B_alpha> for some positive semidefinite X.  All of them are
 stored as one integer matrix, labels[i, j] = index(beta_i + beta_j): B_alpha
-is the set of entries labelled alpha.
+is the set of entries labelled alpha.  Its upper triangle, with each label
+mapped to its constraint, is the constraint data of the conic programs in
+:mod:`l1sos.approx`.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ class BasisProducts:
 
     ``labels[i, j]`` is the product-basis index of beta_i + beta_j, so
     B_alpha is the 0/1 matrix ``labels == index(alpha)``.  Gram
-    coefficients, moment matrices and constraint rows all read the groups of
-    equal labels, each in row-major order.
+    coefficients sum the groups of equal labels, each in row-major order;
+    moment matrices index y by the labels, and the constraint rows of the
+    conic programs are the labels of the upper triangle.
     """
 
     basis: MonomialBasis
@@ -105,22 +108,6 @@ class BasisProducts:
             self.basis.n,
             dict(zip(self.product_basis.monomials, coeffs)),
         )
-
-    def upper_groups(self, classes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Upper-triangle positions (rows, cols) of every B_alpha, split by
-        the class of their row among the K ``classes`` and numbered within
-        it: B_alpha with index a has ``rows[bounds[j]:bounds[j + 1]]`` in
-        class k, j = a K + k, in row-major order."""
-        block_of = np.empty(len(self.basis), dtype=int)
-        local = np.empty(len(self.basis), dtype=int)
-        for k, idx in enumerate(classes):
-            block_of[idx] = k
-            local[idx] = np.arange(idx.size)
-        rows, cols = np.triu_indices(len(self.basis))
-        key = self.labels[rows, cols] * len(classes) + block_of[rows]
-        order = np.argsort(key, kind="stable")
-        bounds = np.searchsorted(key[order], np.arange(len(self.product_basis) * len(classes) + 1))
-        return local[rows[order]], local[cols[order]], bounds
 
 
 def basis_products(n: int, d: int) -> BasisProducts:

@@ -9,6 +9,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 Monomial = tuple[int, ...]
@@ -261,6 +262,8 @@ def parse_text(text: str) -> Polynomial:
             coeff = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad coefficient {tokens[0]!r}", lineno) from None
+        if not math.isfinite(coeff):
+            raise ParseError(f"non-finite coefficient {tokens[0]!r}", lineno)
         exps = []
         for tok in tokens[1:]:
             try:
@@ -320,6 +323,8 @@ def from_json_dict(data: dict) -> Polynomial:
             raise ParseError(f"duplicate monomial {mono} (term {k})")
         seen.add(mono)
         terms[mono] = float(entry["c"])
+        if not math.isfinite(terms[mono]):
+            raise ParseError(f"non-finite coefficient {entry['c']!r} (term {k})")
     return Polynomial(n, terms)
 
 

@@ -1,28 +1,31 @@
 """Primal-dual interior-point solver for small block-diagonal conic programs.
 
 Problems mix dense positive-semidefinite blocks with nonnegative-orthant
-blocks (handled as diagonal PSD blocks by the same machinery) in the
-standard pair
+blocks in the standard pair
 
     minimize    <C, Z>                 maximize    b' z
     subject to  <A_i, Z> = b_i         subject to  C - sum_i z_i A_i in K
                 Z in K
 
 where K is the product of the block cones.  The algorithm is path-following
-with the HKM search direction and a Mehrotra predictor-corrector step.
+with the HKM search direction and a Mehrotra predictor-corrector step.  A
+PSD block is a symmetric matrix and a nonnegative block a vector; the
+kernels branch on the block type.
 
-Each block keeps the constraint coefficients as entries sorted by
-constraint: both (r, c) and (c, r) of every PSD entry, repeated entries
-summed.  A(Z) and A^T(y) are bincounts over them.  The Schur complement
-M[i, j] = <A_i, X A_j S^{-1}> is built factored, using the per-constraint
-sparsity of SDPA (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997):
-with X = R R^T and S^{-1} = L L^T, row i of Q is vec(R^T A_i L), one small
-product over constraint i's entries, and M = Q Q^T is positive
-semidefinite by construction.  M gets a dense Cholesky factorization,
-solved by blocked substitution; on breakdown each row is shifted by an
-escalating multiple of its own diagonal entry.  Only numpy is needed.  Everything is deterministic: a fixed
-scale-aware starting point and no randomized pivoting, so identical inputs
-produce identical iterate sequences.
+The constraint coefficients come as one :class:`Entries` per block, a flat
+list of (constraint, row, column, value) entries, the input format of SDPA.
+It stores both (r, c) and (c, r) of every PSD entry, sorted by constraint,
+repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  The
+Schur complement M[i, j] = <A_i, X A_j S^{-1}> is built factored, using the
+per-constraint sparsity of SDPA (Fujisawa, Kojima & Nakata, Math.
+Programming 79, 1997): with X = R R^T and S^{-1} = L L^T, row i of Q is
+vec(R^T A_i L), one small product over constraint i's entries, and
+M = Q Q^T is positive semidefinite by construction.  M gets a dense
+Cholesky factorization, solved by blocked substitution; on breakdown each
+row is shifted by an escalating multiple of its own diagonal entry.  Only
+numpy is needed.  Everything is deterministic: a fixed scale-aware starting
+point and no randomized pivoting, so identical inputs produce identical
+iterate sequences.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -31,7 +34,7 @@ the tens to low hundreds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -69,41 +72,55 @@ Block = PsdBlock | NonNegBlock
 
 
 @dataclass(frozen=True, eq=False)
-class SymEntries:
-    """Nonzero entries of a symmetric coefficient matrix, upper triangle only
-    (an entry at (r, c), r < c, stands for the mirrored pair)."""
+class Entries:
+    """One block's constraint coefficients: entry e adds ``vals[e]`` at
+    (``rows[e]``, ``cols[e]``) of A_{``con[e]``}.  On a PSD block an entry
+    off the diagonal stands for its mirrored pair; on a nonnegative block
+    ``rows == cols``.
 
+    Stored as the solver reads them: both triangles, sorted by (constraint,
+    row, column), repeated entries summed.  ``touched`` lists the
+    constraints with an entry in the block; entry e belongs to
+    ``touched[slot[e]]``, and the entries of ``touched[t]`` are
+    ``bounds[t]:bounds[t + 1]``.
+    """
+
+    con: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    touched: np.ndarray = field(init=False)
+    slot: np.ndarray = field(init=False)
+    bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int)
-        cols = np.asarray(self.cols, dtype=int)
+        con, rows, cols = (np.asarray(a, dtype=int) for a in (self.con, self.rows, self.cols))
         vals = np.asarray(self.vals, dtype=float)
-        if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols and vals must be 1-d and equally long")
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        object.__setattr__(self, "rows", lo)
-        object.__setattr__(self, "cols", hi)
-        object.__setattr__(self, "vals", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class VecEntries:
-    """Nonzero entries of a coefficient vector on a nonnegative block."""
-
-    idx: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.idx, dtype=int)
-        vals = np.asarray(self.vals, dtype=float)
-        if idx.shape != vals.shape or idx.ndim != 1:
-            raise ValueError("idx and vals must be 1-d and equally long")
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "vals", vals)
+        if not (con.shape == rows.shape == cols.shape == vals.shape) or con.ndim != 1:
+            raise ValueError("con, rows, cols and vals must be 1-d and equally long")
+        # Mirror from the upper triangle, so both triangles sum the same
+        # values in the same order.
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        off = rows != cols
+        con, rows, cols, vals = (
+            np.concatenate([con, con[off]]),
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, vals[off]]),
+        )
+        order = np.lexsort((cols, rows, con))
+        con, rows, cols = con[order], rows[order], cols[order]
+        new = np.ones(con.size, dtype=bool)
+        new[1:] = np.any(np.diff([con, rows, cols]) != 0, axis=0)
+        vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
+        con, rows, cols = con[new], rows[new], cols[new]
+        first = np.diff(con, prepend=-1) != 0
+        for name, value in (
+            ("con", con), ("rows", rows), ("cols", cols), ("vals", vals),
+            ("touched", con[first]), ("slot", np.cumsum(first) - 1),
+            ("bounds", np.append(np.flatnonzero(first), con.size)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,24 +133,29 @@ class ConicProblem:
     c : sequence of arrays
         Objective per block: (dim, dim) symmetric for PSD blocks, (count,)
         for nonnegative blocks.
-    constraints : sequence of dicts
-        One dict per constraint, mapping block index to SymEntries (PSD
-        block) or VecEntries (nonnegative block).  Only nonzeros are stored.
+    coefs : sequence of Entries
+        The constraint coefficients, one Entries per block.
     b : array, shape (m,)
-        Right-hand side.
+        Right-hand side; every constraint needs an entry in some block.
     """
 
     blocks: tuple[Block, ...]
     c: tuple[np.ndarray, ...]
-    constraints: tuple[dict[int, SymEntries | VecEntries], ...]
+    coefs: tuple[Entries, ...]
     b: np.ndarray
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValueError("problem needs at least one block")
-        c = []
-        for k, (blk, ck) in enumerate(zip(blocks, self.c, strict=True)):
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1 or b.size < 1:
+            raise ValueError("b must be 1-d with one entry per constraint")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
+        c, coefs = tuple(self.c), tuple(self.coefs)
+        cs = []
+        for k, (blk, ck, e) in enumerate(zip(blocks, c, coefs, strict=True)):
             ck = np.asarray(ck, dtype=float)
             if isinstance(blk, PsdBlock):
                 if blk.dim < 1:
@@ -142,43 +164,32 @@ class ConicProblem:
                     raise ValueError(f"objective block {k} has shape {ck.shape}")
                 if not np.allclose(ck, ck.T):
                     raise ValueError(f"objective block {k} is not symmetric")
-                ck = 0.5 * (ck + ck.T)
+                ck, dim = 0.5 * (ck + ck.T), blk.dim
             elif isinstance(blk, NonNegBlock):
                 if blk.count < 1:
                     raise ValueError("nonnegative block count must be >= 1")
                 if ck.shape != (blk.count,):
                     raise ValueError(f"objective block {k} has shape {ck.shape}")
+                dim = blk.count
             else:
                 raise TypeError(f"unknown block type {type(blk)!r}")
-            c.append(ck)
-        b = np.asarray(self.b, dtype=float)
-        constraints = tuple(dict(con) for con in self.constraints)
-        if b.ndim != 1 or b.size != len(constraints):
-            raise ValueError("b must have one entry per constraint")
-        if b.size < 1:
-            raise ValueError("problem needs at least one constraint")
-        if not np.isfinite(b).all():
-            raise ValueError("b must be finite")
-        for i, con in enumerate(constraints):
-            if not con:
-                raise ValueError(f"constraint {i} has no nonzero coefficients")
-            for k, ent in con.items():
-                blk = blocks[k]
-                if isinstance(blk, PsdBlock):
-                    if not isinstance(ent, SymEntries):
-                        raise TypeError(f"constraint {i}, block {k}: need SymEntries")
-                    if ent.cols.size and ent.cols.max() >= blk.dim:
-                        raise ValueError(f"constraint {i}, block {k}: index out of range")
-                else:
-                    if not isinstance(ent, VecEntries):
-                        raise TypeError(f"constraint {i}, block {k}: need VecEntries")
-                    if ent.idx.size and ent.idx.max() >= blk.count:
-                        raise ValueError(f"constraint {i}, block {k}: index out of range")
-                if not np.isfinite(ent.vals).all():
-                    raise ValueError(f"constraint {i}, block {k}: non-finite value")
+            cs.append(ck)
+            if not isinstance(e, Entries):
+                raise TypeError(f"block {k}: coefficients must be Entries, not {type(e)!r}")
+            if isinstance(blk, NonNegBlock) and np.any(e.rows != e.cols):
+                raise ValueError(f"block {k}: nonnegative entries need rows == cols")
+            if e.con.size and (e.con.min() < 0 or e.con.max() >= b.size):
+                raise ValueError(f"block {k}: constraint index out of range")
+            if e.rows.size and (e.rows.min() < 0 or e.rows.max() >= dim):
+                raise ValueError(f"block {k}: row or column index out of range")
+            if not np.isfinite(e.vals).all():
+                raise ValueError(f"block {k}: non-finite value")
+        counts = np.bincount(np.concatenate([e.touched for e in coefs]), minlength=b.size)
+        if not counts.all():
+            raise ValueError(f"constraint {counts.argmin()} has no nonzero coefficients")
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "c", tuple(c))
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "c", tuple(cs))
+        object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "b", b)
 
     @property
@@ -228,57 +239,6 @@ class ConicSolution:
     feas_dual: float
     iterations: int
     trace: tuple[IterationStats, ...] | None = None
-
-
-class _Entries(NamedTuple):
-    """One block's constraint coefficients as entries sorted by constraint.
-
-    A PSD block holds both (r, c) and (c, r) of each off-diagonal entry; a
-    nonnegative block holds its indices in ``rows`` and ``cols`` alike.
-    Repeated entries are summed.  ``touched`` lists the constraints with an
-    entry in the block; entry e belongs to ``touched[slot[e]]``, and the
-    entries of ``touched[t]`` are ``bounds[t]:bounds[t + 1]``.
-    """
-
-    con: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    touched: np.ndarray
-    slot: np.ndarray
-    bounds: np.ndarray
-
-
-def _block_entries(problem: ConicProblem, k: int) -> _Entries:
-    """Gather block k's entries of every constraint."""
-    blk = problem.blocks[k]
-    psd = isinstance(blk, PsdBlock)
-    dim = blk.dim if psd else blk.count
-    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    for i, con in enumerate(problem.constraints):
-        ent = con.get(k)
-        if ent is not None:
-            rows, cols = (ent.rows, ent.cols) if psd else (ent.idx, ent.idx)
-            parts.append((np.full(rows.size, i), rows, cols, ent.vals))
-    con, rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    if psd:
-        off = rows != cols
-        con, rows, cols, vals = (
-            np.concatenate([con, con[off]]),
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    key = (con * dim + rows) * dim + cols
-    order = np.argsort(key, kind="stable")
-    new = np.diff(key[order], prepend=-1) != 0
-    vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
-    con, rows, cols = (a[order][new] for a in (con, rows, cols))
-    first = np.diff(con, prepend=-1) != 0
-    return _Entries(
-        con, rows, cols, vals, con[first], np.cumsum(first) - 1,
-        np.append(np.flatnonzero(first), con.size),
-    )
 
 
 def _apply_a(coefs, xs, m: int) -> np.ndarray:
@@ -337,7 +297,7 @@ def _max_step(blocks, linvs, xs, ds) -> float:
     return step
 
 
-def _schur_rows(e: _Entries, r: np.ndarray, l: np.ndarray) -> np.ndarray:
+def _schur_rows(e: Entries, r: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Q with M = Q Q^T on a PSD block's touched constraints, for X = R R^T
     and S^{-1} = L L^T: row t is vec(R^T A_i L) for i = touched[t], the sum
     over constraint i's entries (p, q, v) of v R[p]^T L[q]."""
@@ -443,7 +403,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     slack, a certified duality gap and feasibility residuals."""
     opts = options if options is not None else SolverOptions()
     blocks = problem.blocks
-    coefs = [_block_entries(problem, k) for k in range(len(blocks))]
+    coefs = problem.coefs
     cs = [ck.copy() for ck in problem.c]
     b = problem.b.copy()
     m = problem.m

@@ -11,12 +11,11 @@ import pytest
 
 from l1sos import (
     ConicProblem,
+    Entries,
     NonNegBlock,
     PsdBlock,
     SolverOptions,
     Status,
-    SymEntries,
-    VecEntries,
     assemble_full_form,
     atomic_moments,
     basis_products,
@@ -228,13 +227,13 @@ def test_criterion_9_solver_unit_suite():
     micro = [
         # max y s.t. [[1, y], [y, 1]] PSD -> 1
         (ConicProblem((PsdBlock(2),), (np.eye(2),),
-                      ({0: SymEntries([0], [1], [-1.0])},), [1.0]), 1.0),
+                      (Entries([0], [0], [1], [-1.0]),), [1.0]), 1.0),
         # min x s.t. x = 1, x >= 0 -> 1
         (ConicProblem((NonNegBlock(1),), (np.ones(1),),
-                      ({0: VecEntries([0], [1.0])},), [1.0]), 1.0),
+                      (Entries([0], [0], [0], [1.0]),), [1.0]), 1.0),
         # min tr X s.t. X12 + X21 = 2, X PSD -> 2
         (ConicProblem((PsdBlock(2),), (np.eye(2),),
-                      ({0: SymEntries([0], [1], [1.0])},), [2.0]), 2.0),
+                      (Entries([0], [0], [1], [1.0]),), [2.0]), 2.0),
     ]
     ok = False
     try:

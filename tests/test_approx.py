@@ -329,16 +329,35 @@ class TestVerify:
             assert checks[name].residual == float("inf")
 
     @pytest.mark.filterwarnings("ignore:input has l1 norm")
-    @pytest.mark.parametrize("c,d", [(1e-6, 5), (1e-3, 5), (1e-3, 6)])
+    @pytest.mark.parametrize("c,d", [(1e-6, 5), (1e-3, 5), (1e-3, 6), (1e-2, 3)])
     def test_small_scale_result_judged_by_its_accuracy(self, motzkin, c, d):
         # The solver stops early on tiny multiples of f (at c = 1e-6, d = 5
-        # rho is 23 times the true distance, with an absolute gap above rho
-        # itself).  verify passes exactly the results whose rho / c agrees
-        # with the unscaled rho.
+        # rho was 23 times the true distance, with an absolute gap above rho
+        # itself).  Such a result is refused; one that is returned verifies
+        # and agrees with the unscaled rho.
         rho_1 = best_l1_sos_approximation(motzkin, d).rho
-        res = best_l1_sos_approximation(c * motzkin, d)
-        right = abs(res.rho / c - rho_1) <= 1e-3 * rho_1
-        assert verify(res, c * motzkin, d).all_passed == right, f"rho / c = {res.rho / c:.4e}"
+        try:
+            res = best_l1_sos_approximation(c * motzkin, d)
+        except SolverFailure as exc:
+            assert "duality gap" in str(exc)
+            return
+        assert verify(res, c * motzkin, d).all_passed
+        assert abs(res.rho / c - rho_1) <= 1e-3 * rho_1
+
+    @pytest.mark.filterwarnings("ignore:input has l1 norm")
+    def test_duality_gap_tolerance_scales_with_input(self, motzkin):
+        # lam_0 raised by 1e-8 on 0.01 f: every other check still passes,
+        # and so would the gap under a fixed 1e-7 (1 + rho).
+        f = 1e-2 * motzkin
+        res = best_l1_sos_approximation(f, 3)
+        lam = res.lam + np.eye(res.lam.size)[0] * 1e-8
+        tampered = ApproximationResult(
+            lam=lam, rho=float(lam.sum()), g=res.g + 1e-8, y_star=res.y_star,
+            gram=res.gram, certificate=res.certificate, solver=res.solver,
+        )
+        checks = {c.name: c for c in verify(tampered, f, 3).checks}
+        assert {name for name, c in checks.items() if not c.passed} == {"zero_duality_gap"}
+        assert checks["zero_duality_gap"].residual <= 1e-7 * (1.0 + tampered.rho)
 
     def test_report_renders(self, motzkin_result):
         res, f = motzkin_result

@@ -148,6 +148,19 @@ class TestErrorPaths:
         assert main(["approx", "--input", str(path), "--degree", "1"]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_nonfinite_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("nan 2 0\n1.0 0 0\n")
+        assert main(["check-sos", "--input", str(path), "--degree", "1"]) == 1
+        assert "line 1: non-finite coefficient" in capsys.readouterr().err
+
+    def test_unwritable_output(self, motzkin_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["approx", "--input", str(motzkin_file), "--degree", "3",
+                     "--out", str(out)])
+        assert code == 1
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_degree_too_small(self, motzkin_file, capsys):
         assert main(["approx", "--input", str(motzkin_file), "--degree", "1"]) == 1
         assert "degree bound too small" in capsys.readouterr().err

@@ -129,6 +129,12 @@ class TestTextFormat:
             parse_text("oops 1 2\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_coefficient_reports_line(self, coeff):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_text(f"1.0 2 0\n{coeff} 0 0\n")
+        assert err.value.line == 2
+
     def test_header_after_terms(self):
         with pytest.raises(ParseError):
             parse_text("1.0 2\nn 1\n")
@@ -158,6 +164,12 @@ class TestJsonFormat:
     def test_duplicate_rejected(self):
         with pytest.raises(ParseError):
             from_json_dict({"n": 1, "terms": [{"c": 1.0, "e": [2]}, {"c": 2.0, "e": [2]}]})
+
+    @pytest.mark.parametrize("coeff", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_coefficient_names_term(self, coeff):
+        text = f'{{"n": 1, "terms": [{{"c": 1.0, "e": [2]}}, {{"c": {coeff}, "e": [0]}}]}}'
+        with pytest.raises(ParseError, match=r"non-finite.*term 1"):
+            parse_json(text)
 
     def test_bad_json_text(self):
         with pytest.raises(ParseError):

@@ -3,12 +3,11 @@ import pytest
 
 from l1sos import (
     ConicProblem,
+    Entries,
     NonNegBlock,
     PsdBlock,
     SolverOptions,
     Status,
-    SymEntries,
-    VecEntries,
     best_l1_sos_approximation,
     solve,
     verify,
@@ -25,7 +24,7 @@ def lmi_max_y():
     return ConicProblem(
         blocks=(PsdBlock(2),),
         c=(np.eye(2),),
-        constraints=({0: SymEntries([0], [1], [-1.0])},),
+        coefs=(Entries([0], [0], [1], [-1.0]),),
         b=[1.0],
     )
 
@@ -35,7 +34,7 @@ def lp_as_diagonal():
     return ConicProblem(
         blocks=(NonNegBlock(1),),
         c=(np.ones(1),),
-        constraints=({0: VecEntries([0], [1.0])},),
+        coefs=(Entries([0], [0], [0], [1.0]),),
         b=[1.0],
     )
 
@@ -45,7 +44,7 @@ def min_trace_cross():
     return ConicProblem(
         blocks=(PsdBlock(2),),
         c=(np.eye(2),),
-        constraints=({0: SymEntries([0], [1], [1.0])},),
+        coefs=(Entries([0], [0], [1], [1.0]),),
         b=[2.0],
     )
 
@@ -135,7 +134,7 @@ class TestStatuses:
         problem = ConicProblem(
             blocks=(NonNegBlock(1),),
             c=(np.zeros(1),),
-            constraints=({0: VecEntries([0], [1.0])},),
+            coefs=(Entries([0], [0], [0], [1.0]),),
             b=[-1.0],
         )
         sol = solve(problem)
@@ -146,7 +145,7 @@ class TestStatuses:
         problem = ConicProblem(
             blocks=(PsdBlock(2),),
             c=(np.zeros((2, 2)),),
-            constraints=({0: SymEntries([0, 1], [0, 1], [1.0, 1.0])},),
+            coefs=(Entries([0, 0], [0, 1], [0, 1], [1.0, 1.0]),),
             b=[-1.0],
         )
         sol = solve(problem)
@@ -159,7 +158,7 @@ class TestValidation:
             ConicProblem(
                 blocks=(PsdBlock(2),),
                 c=(np.zeros(2),),
-                constraints=({0: SymEntries([0], [0], [1.0])},),
+                coefs=(Entries([0], [0], [0], [1.0]),),
                 b=[1.0],
             )
 
@@ -168,7 +167,7 @@ class TestValidation:
             ConicProblem(
                 blocks=(PsdBlock(2),),
                 c=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
-                constraints=({0: SymEntries([0], [0], [1.0])},),
+                coefs=(Entries([0], [0], [0], [1.0]),),
                 b=[1.0],
             )
 
@@ -177,7 +176,7 @@ class TestValidation:
             ConicProblem(
                 blocks=(NonNegBlock(1),),
                 c=(np.zeros(1),),
-                constraints=({0: VecEntries([1], [1.0])},),
+                coefs=(Entries([0], [1], [1], [1.0]),),
                 b=[1.0],
             )
 
@@ -186,7 +185,7 @@ class TestValidation:
             ConicProblem(
                 blocks=(NonNegBlock(1),),
                 c=(np.zeros(1),),
-                constraints=({},),
+                coefs=(Entries([], [], [], []),),
                 b=[1.0],
             )
 
@@ -195,28 +194,52 @@ class TestValidation:
             ConicProblem(
                 blocks=(NonNegBlock(1),),
                 c=(np.zeros(1),),
-                constraints=({0: VecEntries([0], [1.0])},),
+                coefs=(Entries([0], [0], [0], [1.0]),),
                 b=[np.inf],
             )
 
-    def test_entry_type_mismatch(self):
+    def test_coefficients_not_entries(self):
         with pytest.raises(TypeError):
             ConicProblem(
                 blocks=(PsdBlock(2),),
                 c=(np.zeros((2, 2)),),
-                constraints=({0: VecEntries([0], [1.0])},),
+                coefs=(([0], [0], [0], [1.0]),),
+                b=[1.0],
+            )
+
+    def test_nonnegative_entry_off_diagonal(self):
+        with pytest.raises(ValueError, match="block 0"):
+            ConicProblem(
+                blocks=(NonNegBlock(2),),
+                c=(np.zeros(2),),
+                coefs=(Entries([0], [0], [1], [1.0]),),
+                b=[1.0],
+            )
+
+    @pytest.mark.parametrize(
+        "con,row,col",
+        [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 2, 0), (0, 0, -1), (0, 0, 2)],
+        ids=["con-negative", "con-past", "row-negative", "row-past", "col-negative", "col-past"],
+    )
+    def test_index_outside_block(self, con, row, col):
+        # A negative index used to pass and break the solver's bincount.
+        with pytest.raises(ValueError, match="block 1"):
+            ConicProblem(
+                blocks=(NonNegBlock(1), PsdBlock(2)),
+                c=(np.zeros(1), np.eye(2)),
+                coefs=(Entries([0], [0], [0], [1.0]), Entries([con], [row], [col], [1.0])),
                 b=[1.0],
             )
 
 
 def random_conic_problem(rng, dims=(5, 3), count=4, m=9):
-    """Random program with two PSD blocks and a nonnegative block.  Every
-    constraint repeats one PSD entry, once as (r, c) and once as (c, r),
-    and one nonnegative index; constraint 0 has no entry in PSD block 1 and
-    constraint 1 none in the nonnegative block."""
-    constraints = []
+    """Random program with two PSD blocks and a nonnegative block, and its
+    raw (con, rows, cols, vals) triples per block.  Every constraint repeats
+    one PSD entry, once as (r, c) and once as (c, r), and one nonnegative
+    index; constraint 0 has no entry in PSD block 1 and constraint 1 none in
+    the nonnegative block."""
+    raw = [[] for _ in range(len(dims) + 1)]
     for i in range(m):
-        con = {}
         for k, dim in enumerate(dims):
             if (i, k) == (0, 1):
                 continue
@@ -225,36 +248,34 @@ def random_conic_problem(rng, dims=(5, 3), count=4, m=9):
             cols = rng.integers(0, dim, nnz)
             rows = np.append(rows, [rows[0], cols[0]])
             cols = np.append(cols, [cols[0], rows[0]])
-            con[k] = SymEntries(rows, cols, rng.standard_normal(rows.size))
+            raw[k].append((np.full(rows.size, i), rows, cols, rng.standard_normal(rows.size)))
         if i != 1:
             idx = rng.integers(0, count, 3)
-            con[len(dims)] = VecEntries(np.append(idx, idx[0]), rng.standard_normal(4))
-        constraints.append(con)
+            idx = np.append(idx, idx[0])
+            raw[-1].append((np.full(4, i), idx, idx, rng.standard_normal(4)))
+    raw = [tuple(np.concatenate(field) for field in zip(*parts)) for parts in raw]
     blocks = tuple(PsdBlock(dim) for dim in dims) + (NonNegBlock(count),)
     c = tuple(np.zeros((dim, dim)) for dim in dims) + (np.zeros(count),)
-    return ConicProblem(blocks, c, tuple(constraints), rng.standard_normal(m))
+    coefs = tuple(Entries(*triples) for triples in raw)
+    return ConicProblem(blocks, c, coefs, rng.standard_normal(m)), raw
 
 
-def dense_reference(problem):
+def dense_reference(problem, raw):
     """Each block's coefficients as a dense (m, dim, dim) or (m, count)
-    array, summing repeated entries; an entry at (r, c), r != c, also fills
-    (c, r)."""
+    array, from the raw triples: repeated entries are summed, and an entry
+    at (r, c), r != c, also fills (c, r)."""
     out = []
-    for k, blk in enumerate(problem.blocks):
-        psd = isinstance(blk, PsdBlock)
-        arr = np.zeros((problem.m, blk.dim, blk.dim) if psd else (problem.m, blk.count))
-        for i, con in enumerate(problem.constraints):
-            ent = con.get(k)
-            if ent is None:
-                continue
-            if psd:
-                for r, c, v in zip(ent.rows, ent.cols, ent.vals):
-                    arr[i, r, c] += v
-                    if r != c:
-                        arr[i, c, r] += v
-            else:
-                for j, v in zip(ent.idx, ent.vals):
-                    arr[i, j] += v
+    for blk, (con, rows, cols, vals) in zip(problem.blocks, raw):
+        if isinstance(blk, PsdBlock):
+            arr = np.zeros((problem.m, blk.dim, blk.dim))
+            for i, r, c, v in zip(con, rows, cols, vals):
+                arr[i, r, c] += v
+                if r != c:
+                    arr[i, c, r] += v
+        else:
+            arr = np.zeros((problem.m, blk.count))
+            for i, r, v in zip(con, rows, vals):
+                arr[i, r] += v
         out.append(arr)
     return out
 
@@ -276,15 +297,53 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+STORED = ("con", "rows", "cols", "vals", "touched", "slot", "bounds")
+
+
+@pytest.mark.parametrize("seed", range(4))
+class TestEntries:
+    """The stored form against the raw triples it was built from."""
+
+    def test_order_and_orientation_do_not_matter(self, seed):
+        rng = np.random.default_rng(seed)
+        for con, rows, cols, _ in random_conic_problem(rng)[1]:
+            # Small integers, so the summed repeated entries are exact.
+            vals = rng.integers(-3, 4, con.size).astype(float)
+            ref = Entries(con, rows, cols, vals)
+            p = rng.permutation(con.size)
+            for other in (
+                Entries(con[p], rows[p], cols[p], vals[p]),
+                Entries(con, cols, rows, vals),
+                Entries(con[p], cols[p], rows[p], vals[p]),
+            ):
+                for name in STORED:
+                    assert np.array_equal(getattr(other, name), getattr(ref, name)), name
+
+    def test_stored_form(self, seed):
+        rng = np.random.default_rng(seed)
+        problem, raw = random_conic_problem(rng)
+        for e, ref in zip(problem.coefs, dense_reference(problem, raw)):
+            dense = np.zeros_like(ref)
+            np.add.at(dense, (e.con, e.rows, e.cols)[: ref.ndim], e.vals)
+            assert rel_diff(dense, ref) <= 1e-13
+            # Sorted by (constraint, row, column) without repeats, and
+            # grouped by constraint.
+            key = np.stack([e.con, e.rows, e.cols])
+            assert np.all(np.any(np.diff(key) != 0, axis=0))
+            assert np.array_equal(np.lexsort(key[::-1]), np.arange(e.con.size))
+            assert np.array_equal(e.touched[e.slot], e.con)
+            assert np.array_equal(np.repeat(e.touched, np.diff(e.bounds)), e.con)
+
+
 @pytest.mark.parametrize("seed", range(4))
 class TestKernels:
     """A, A^T and the Schur complement against dense einsums."""
 
     def test_apply_a_and_transpose(self, seed):
         rng = np.random.default_rng(seed)
-        problem = random_conic_problem(rng)
-        coefs = [sdp._block_entries(problem, k) for k in range(len(problem.blocks))]
-        dense = dense_reference(problem)
+        problem, raw = random_conic_problem(rng)
+        coefs = problem.coefs
+        dense = dense_reference(problem, raw)
         xs, _ = random_interior(rng, problem)
         y = rng.standard_normal(problem.m)
         ref_a = sum(
@@ -299,12 +358,12 @@ class TestKernels:
 
     def test_schur_complement(self, seed):
         rng = np.random.default_rng(seed)
-        problem = random_conic_problem(rng)
-        coefs = [sdp._block_entries(problem, k) for k in range(len(problem.blocks))]
+        problem, raw = random_conic_problem(rng)
+        coefs = problem.coefs
         xs, ss = random_interior(rng, problem)
         schur = sdp._schur_complement(problem.blocks, coefs, xs, ss, problem.m)[0]
         ref = np.zeros((problem.m, problem.m))
-        for a, x, s in zip(dense_reference(problem), xs, ss):
+        for a, x, s in zip(dense_reference(problem, raw), xs, ss):
             if a.ndim == 3:
                 # M[i, j] = <A_i, X A_j S^{-1}>
                 ref += np.einsum("ipq,qr,jrs,sp->ij", a, x, a, np.linalg.inv(s))

@@ -10,7 +10,6 @@ from l1sos import (
     SosCertificate,
     SosRefutation,
     Status,
-    SymEntries,
     assemble_reduced_dual,
     basis_products,
     best_l1_sos_approximation,
@@ -89,16 +88,10 @@ class TestDenseInputIsUnchanged:
         for ck, rk in zip(reduced.c, reference.c, strict=True):
             assert np.array_equal(ck, rk)
         assert np.array_equal(reduced.b, reference.b)
-        assert len(reduced.constraints) == len(reference.constraints)
-        for con, ref in zip(reduced.constraints, reference.constraints):
-            assert list(con) == list(ref)
-            for k in con:
-                if isinstance(con[k], SymEntries):
-                    fields = ("rows", "cols", "vals")
-                else:
-                    fields = ("idx", "vals")
-                for name in fields:
-                    assert np.array_equal(getattr(con[k], name), getattr(ref[k], name))
+        assert reduced.m == reference.m
+        for e, ref in zip(reduced.coefs, reference.coefs, strict=True):
+            for name in ("con", "rows", "cols", "vals", "touched", "slot", "bounds"):
+                assert np.array_equal(getattr(e, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize(
@@ -107,8 +100,8 @@ class TestDenseInputIsUnchanged:
     ids=["motzkin-7", "dense-4-4"],
 )
 def test_constraint_blocks_match_reference_pairs(f, d):
-    """Every constraint's per-block array, and its upper-triangle entries in
-    order, against pair lists built by the direct double loop."""
+    """Every constraint's per-block array against pair lists built by the
+    direct double loop."""
     bp, part = partition_of(f, d)
     problem = approx._assemble_moment_side(f, bp, part, f.n + 1)
     block_of = np.empty(len(bp.basis), dtype=int)
@@ -120,23 +113,21 @@ def test_constraint_blocks_match_reference_pairs(f, d):
     for i, beta in enumerate(bp.basis.monomials):
         for j, gamma in enumerate(bp.basis.monomials):
             pairs[tuple(x + y for x, y in zip(beta, gamma))].append((i, j))
-    assert len(problem.constraints) == part.invariant.size
-    for a, con in zip(part.invariant.tolist(), problem.constraints):
+    assert problem.m == part.invariant.size
+    sym = problem.coefs[: len(part.classes)]
+    for t, a in enumerate(part.invariant.tolist()):
         ij = np.array(pairs[bp.product_basis.monomials[a]])
-        sym = {k: e for k, e in con.items() if isinstance(e, SymEntries)}
-        assert sorted(sym) == sorted(set(block_of[ij[:, 0]].tolist()))
-        for k, entries in sym.items():
-            size = part.classes[k].size
+        touching = [k for k, e in enumerate(sym) if np.any(e.con == t)]
+        assert touching == sorted(set(block_of[ij[:, 0]].tolist()))
+        for k in touching:
+            e, size = sym[k], part.classes[k].size
+            mine = e.con == t
             dense = np.zeros((size, size))
-            dense[entries.rows, entries.cols] = entries.vals
-            dense[entries.cols, entries.rows] = entries.vals
+            dense[e.rows[mine], e.cols[mine]] = e.vals[mine]
             ref = np.zeros((size, size))
-            mine = ij[block_of[ij[:, 0]] == k]
-            ref[local[mine[:, 0]], local[mine[:, 1]]] = 1.0
+            pk = ij[block_of[ij[:, 0]] == k]
+            ref[local[pk[:, 0]], local[pk[:, 1]]] = 1.0
             assert np.array_equal(dense, ref)
-            upper = mine[mine[:, 0] <= mine[:, 1]]
-            assert np.array_equal(entries.rows, local[upper[:, 0]])
-            assert np.array_equal(entries.cols, local[upper[:, 1]])
 
 
 def _unreduced(f, d):
