@@ -8,7 +8,7 @@ certified by a moment vector y with M_d(y) PSD and L_y(g) < 0.
 
 import numpy as np
 
-from l1sos import Polynomial, is_sos, moment_matrix, motzkin_like, riesz
+from l1sos import Polynomial, is_sos, moment_matrix, motzkin_like, riesz, verify
 
 x1 = Polynomial.variable(2, 0)
 x2 = Polynomial.variable(2, 1)
@@ -20,9 +20,12 @@ print("g SOS:", res.is_sos)
 for w, q in zip(res.weights, res.squares):
     print(f"  + {w:.6g} * ({q})^2")
 print("reconstruction residual:", res.residual)
+# verify rebuilds g from the squares and weights, without the stored residual.
+print(verify(res, g, 2))
 
 # The Motzkin-like polynomial is nonnegative but has no SOS decomposition;
-# the checker returns a moment witness instead.
+# the checker returns a moment witness instead: the Farkas ray of the
+# infeasible Gram program, scaled to largest corner moment 1.
 f = motzkin_like()
 ref = is_sos(f, 3)
 print("\nmotzkin-like SOS:", ref.is_sos)
@@ -32,3 +35,4 @@ print(
     np.linalg.eigvalsh(moment_matrix(ref.witness, 3))[0],
 )
 assert riesz(ref.witness, f) == ref.value
+print(verify(ref, f, 3))

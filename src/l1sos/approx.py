@@ -89,7 +89,13 @@ class SosCertificate:
 class SosRefutation:
     """Witness that a polynomial g is not a sum of squares: a moment vector
     y of degree 2 d0, d0 = max(1, ceil(deg g / 2)), with M_{d0}(y) PSD but
-    L_y(g) < 0 (no such y exists for SOS g)."""
+    ``value`` = L_y(g) < 0 (no such y exists for SOS g).
+
+    :func:`is_sos` returns the Farkas ray of its membership solve, scaled to
+    largest corner moment 1, and the bounded program's optimal moment
+    vector only when the ray fails :func:`verify`'s witness checks.  Either
+    way the corner moments are at most 1, so -value / ||g||_1 is a lower
+    bound on rho_{d0}(g / ||g||_1)."""
 
     witness: MomentVector
     value: float
@@ -423,22 +429,20 @@ def _failure_message(sol: ConicSolution) -> str:
     )
 
 
-def _solve_moment_side(
+def _moment_side_solution(
     f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
 ) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
     """Solve the moment-side program of f at degree bound 2d in sign-symmetry
     blocks, with ``multipliers`` perturbation multipliers (see
-    :func:`_assemble_moment_side`); raise SolverFailure unless it is optimal.
+    :func:`_assemble_moment_side`), whatever status the solve ends with.
 
     Returns the basis products, the full Gram matrix carrying each block on
-    its class, the raw multipliers (empty for none), y* (zero off the
-    invariant monomials) and the solution.
+    its class, the raw multipliers (empty for none), y = -dual on the
+    invariant monomials and zero elsewhere, and the solution.
     """
     bp = basis_products(f.n, d)
     partition = _sign_partition(f, bp)
     sol = solve(_assemble_moment_side(f, bp, partition, multipliers), options)
-    if sol.status != Status.OPTIMAL:
-        raise SolverFailure(_failure_message(sol), sol)
     gram = np.zeros((len(bp.basis), len(bp.basis)))
     for idx, x in zip(partition.classes, sol.primal):
         gram[np.ix_(idx, idx)] = x
@@ -446,6 +450,18 @@ def _solve_moment_side(
     y_vals[partition.invariant] = -sol.dual
     raw = sol.primal[-1] if multipliers else np.zeros(0)
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
+
+
+def _solve_moment_side(
+    f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
+) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
+    """:func:`_moment_side_solution`, raising SolverFailure unless the solve
+    is optimal; y is then y*."""
+    out = _moment_side_solution(f, d, multipliers, options)
+    sol = out[-1]
+    if sol.status != Status.OPTIMAL:
+        raise SolverFailure(_failure_message(sol), sol)
+    return out
 
 
 def best_l1_sos_approximation(
@@ -500,6 +516,11 @@ def best_l1_sos_approximation(
     )
 
 
+def _sos_degree(g: Polynomial) -> int:
+    """d0 = max(1, ceil(deg g / 2)), the degree at which is_sos decides g."""
+    return max(1, (g.degree() + 1) // 2)
+
+
 def is_sos(
     g: Polynomial, d: int, options: SolverOptions | None = None
 ) -> SosCertificate | SosRefutation:
@@ -509,12 +530,15 @@ def is_sos(
     degree <= e (the simplest case of Reznick's Newton-polytope bound), so
     the answer is decided at d0 = max(1, ceil(deg g / 2)) whatever d is.
     Solves the Gram feasibility program over the degree-d0 basis; a
-    feasible solve yields a certificate by eigendecomposition.  When the
-    solver cannot produce a strictly feasible Gram matrix (infeasible, or
-    feasible only on the boundary of the PSD cone), the bounded moment-side
-    program at d0 settles the question: distance ~ 0 means g is SOS and
-    supplies the Gram matrix, positive distance supplies the refutation
-    witness y of degree 2 d0 with M_{d0}(y) PSD and L_y(g) < 0.  Both
+    feasible solve yields a certificate by eigendecomposition.  An
+    infeasible one ends on the solver's divergence test with a Farkas ray
+    y = -dual, M_{d0}(y) PSD and L_y(g) < 0.  Scaled to largest corner
+    moment 1, the ray is the witness if it passes :func:`verify`'s witness
+    checks with L_y(g / ||g||_1) < -1e-7; that is a lower bound on the
+    distance of g / ||g||_1 at d0, so the bounded program would refute too.
+    Any other outcome is settled by the bounded moment-side program at d0:
+    distance ~ 0 means g is SOS and supplies the Gram matrix, positive
+    distance supplies its optimal moment vector as the witness.  Both
     programs are split into sign-symmetry blocks and solved for
     g / ||g||_1, so the answer and the distance threshold do not depend on
     g's scale; the certificate weights and the witness value are in g's
@@ -523,17 +547,22 @@ def is_sos(
     _check_degree(g, d)
     if g.is_zero():
         return SosCertificate((), (), 0.0)
-    d0 = max(1, (g.degree() + 1) // 2)
+    d0 = _sos_degree(g)
     norm = g.l1_norm()
     unit = g * (1.0 / norm)
-    try:
-        bp, gram = _solve_moment_side(unit, d0, 0, options)[:2]
-    except SolverFailure:
-        result = best_l1_sos_approximation(unit, d0, options)
-        if result.rho > _SOS_RHO_TOL:
-            return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
-        bp, gram = basis_products(g.n, d0), result.gram
-    return _extract_certificate(norm * gram, bp, g)
+    bp, gram, _, ray, sol = _moment_side_solution(unit, d0, 0, options)
+    if sol.status == Status.OPTIMAL:
+        return _extract_certificate(norm * gram, bp, g)
+    if sol.status == Status.INFEASIBLE:
+        corner = max(ray.value(mono) for mono in _perturbation_monomials(g.n, 2 * d0))
+        if 0.0 < corner < np.inf:
+            ray = MomentVector(ray.basis, ray.values / corner)
+            if all(c.passed for c in _witness_checks(ray, unit, bp, -_SOS_RHO_TOL)):
+                return SosRefutation(witness=ray, value=riesz(ray, g))
+    result = best_l1_sos_approximation(unit, d0, options)
+    if result.rho > _SOS_RHO_TOL:
+        return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
+    return _extract_certificate(norm * result.gram, bp, g)
 
 
 def uniform_sos_perturbation(
@@ -550,13 +579,64 @@ def uniform_sos_perturbation(
     return eps, g
 
 
-def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationReport:
+def _witness_checks(
+    y: MomentVector, g: Polynomial, bp: BasisProducts, bound: float = 0.0
+) -> tuple[Check, Check]:
+    """The checks of a witness y that g is not SOS at bp's degree d0:
+    M_{d0}(y), read through the label matrix, is PSD, and L_y(g) < bound.
+    A y that cannot fill M_{d0} fails both with residual inf."""
+    psd_res, psd_tol, value = float("inf"), 1e-8, float("inf")
+    if y.n == g.n and y.degree >= 2 * bp.basis.degree and np.isfinite(y.values).all():
+        evals = np.linalg.eigvalsh(y.values[bp.labels])
+        psd_res = max(0.0, -float(evals[0]))
+        psd_tol = 1e-8 * (1.0 + float(evals[-1]))
+        value = riesz(y, g)
+    return (
+        Check("witness_moment_psd", psd_res <= psd_tol, psd_res, psd_tol),
+        Check("witness_value_negative", value < bound, value, bound),
+    )
+
+
+def _certificate_checks(
+    cert: SosCertificate, g: Polynomial, bp: BasisProducts, tol: float, fits: bool = True
+) -> tuple[Check, Check]:
+    """Certificate weights are positive, and the squares, which must live in
+    bp's degree-d basis with one weight each, rebuild g to l1 error tol.
+    Nothing is read from ``cert.residual``."""
+    weights = np.asarray(cert.weights, dtype=float)
+    wmin = float(weights.min()) if weights.size else 1.0
+    squares = [_padded_coefficients(q, bp.basis) for q in cert.squares]
+    if not fits or len(squares) != weights.size or any(rest.size for _, rest in squares):
+        res = float("inf")
+    else:
+        q = np.array([vec for vec, _ in squares]).reshape(-1, len(bp.basis))
+        res = float(np.abs(_coefficient_error(bp, (q.T * weights) @ q, g)).sum())
+    return (
+        Check("certificate_weights_positive", wmin > 0.0, max(0.0, -wmin), 0.0),
+        Check("certificate_reconstruction", res <= tol, res, tol),
+    )
+
+
+def verify(
+    result: ApproximationResult | SosCertificate | SosRefutation, f: Polynomial, d: int
+) -> VerificationReport:
     """Independently recheck every structural invariant of a result.
 
     Nothing from the solver run is reused; every quantity is recomputed from
     the result fields, f and d.  Failures are report entries, not
-    exceptions.
+    exceptions.  An :func:`is_sos` answer is checked at the degree d0 that
+    :func:`is_sos` decides f at: a certificate's squares and weights must
+    rebuild f to 1e-6 ||f||_1 in l1, whatever its stored ``residual`` says;
+    a refutation's witness y must have M_{d0}(y) PSD and L_y(f) < 0.
     """
+    if isinstance(result, (SosCertificate, SosRefutation)):
+        bp = basis_products(f.n, _sos_degree(f))
+        if isinstance(result, SosCertificate):
+            checks = _certificate_checks(result, f, bp, 1e-6 * f.l1_norm())
+        else:
+            checks = _witness_checks(result.witness, f, bp)
+        return VerificationReport(checks)
+
     checks: list[Check] = []
     n = f.n
     pattern = _perturbation_monomials(n, 2 * d)
@@ -628,20 +708,7 @@ def verify(result: ApproximationResult, f: Polynomial, d: int) -> VerificationRe
     checks.append(Check("moment_vector_feasible", feas_res <= 1e-8, feas_res, 1e-8))
 
     # Certificate weights are positive and the squares rebuild g.
-    weights = np.asarray(result.certificate.weights, dtype=float)
-    wmin = float(weights.min()) if weights.size else 1.0
-    checks.append(Check("certificate_weights_positive", wmin > 0.0, max(0.0, -wmin), 0.0))
-    # Squares must live in the degree-d basis, one weight each; a square
-    # outside it cannot rebuild a g of degree <= 2d.
-    squares = [_padded_coefficients(q, bp.basis) for q in result.certificate.squares]
-    if not fits or len(squares) != weights.size or any(rest.size for _, rest in squares):
-        cert_res = float("inf")
-    else:
-        q = np.array([vec for vec, _ in squares]).reshape(-1, len(bp.basis))
-        cert_res = float(np.abs(_coefficient_error(bp, (q.T * weights) @ q, result.g)).sum())
     cert_tol = 1e-6 * (1.0 + result.g.l1_norm())
-    checks.append(
-        Check("certificate_reconstruction", cert_res <= cert_tol, cert_res, cert_tol)
-    )
+    checks.extend(_certificate_checks(result.certificate, result.g, bp, cert_tol, fits))
 
     return VerificationReport(tuple(checks))

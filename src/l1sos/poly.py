@@ -18,9 +18,11 @@ Monomial = tuple[int, ...]
 class ParseError(ValueError):
     """Malformed polynomial input (text or JSON)."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, term: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if term is not None:
+            message = f"{message} (term {term})"
         super().__init__(message)
         self.line = line
 
@@ -210,6 +212,64 @@ def pretty(f: Polynomial) -> str:
     return " ".join(parts)
 
 
+# -- input checks ---------------------------------------------------------------
+#
+# Both input formats hand every term to ``_add_term``: text tokens arrive as
+# strings, JSON values as parsed.  Errors name the line (text) or the term
+# number (JSON).
+
+
+def _as_int(raw) -> int | None:
+    """An int, or a string spelling one; None for anything else (2.5, true,
+    null, "2.5")."""
+    if isinstance(raw, str):
+        try:
+            return int(raw)
+        except ValueError:
+            return None
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    return None
+
+
+def _add_term(terms: dict[Monomial, float], coeff, exps, n: int, **where) -> None:
+    """Check one term, a coefficient and a list of n exponents, and add it to
+    ``terms``; raise ParseError at ``where`` (``line=`` or ``term=``)."""
+    if not isinstance(exps, (list, tuple)):
+        raise ParseError(f"exponents must be a list, not {exps!r}", **where)
+    if len(exps) != n:
+        raise ParseError(f"expected {n} exponents, got {len(exps)}", **where)
+    if isinstance(coeff, bool):  # float(true) would read as 1.0
+        raise ParseError(f"bad coefficient {coeff!r}", **where)
+    try:
+        value = float(coeff)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"bad coefficient {coeff!r}", **where) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite coefficient {coeff!r}", **where)
+    mono = []
+    for raw in exps:
+        e = _as_int(raw)
+        if e is None:
+            raise ParseError(f"bad exponent {raw!r}", **where)
+        if e < 0:
+            raise ParseError(f"negative exponent {e}", **where)
+        mono.append(e)
+    key = tuple(mono)
+    if key in terms:
+        raise ParseError(f"duplicate monomial {key}", **where)
+    terms[key] = value
+
+
+def _variable_count(raw, **where) -> int:
+    n = _as_int(raw)
+    if n is None:
+        raise ParseError(f"bad variable count {raw!r}", **where)
+    if n < 1:
+        raise ParseError("variable count must be >= 1", **where)
+    return n
+
+
 # -- text format -------------------------------------------------------------
 #
 # Canonical form, one term per line:
@@ -228,7 +288,6 @@ def parse_text(text: str) -> Polynomial:
     offending line number on malformed input."""
     n: int | None = None
     terms: dict[Monomial, float] = {}
-    seen: set[Monomial] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,16 +296,11 @@ def parse_text(text: str) -> Polynomial:
         if tokens[0] == "n":
             if n is not None:
                 raise ParseError("duplicate 'n' header", lineno)
-            if terms or seen:
+            if terms:
                 raise ParseError("'n' header must precede all terms", lineno)
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", lineno)
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad variable count {tokens[1]!r}", lineno) from None
-            if n < 1:
-                raise ParseError("variable count must be >= 1", lineno)
+            n = _variable_count(tokens[1], line=lineno)
             continue
         if len(tokens) < 2:
             raise ParseError(
@@ -254,30 +308,7 @@ def parse_text(text: str) -> Polynomial:
             )
         if n is None:
             n = len(tokens) - 1
-        if len(tokens) - 1 != n:
-            raise ParseError(
-                f"expected {n} exponents, got {len(tokens) - 1}", lineno
-            )
-        try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"bad coefficient {tokens[0]!r}", lineno) from None
-        if not math.isfinite(coeff):
-            raise ParseError(f"non-finite coefficient {tokens[0]!r}", lineno)
-        exps = []
-        for tok in tokens[1:]:
-            try:
-                e = int(tok)
-            except ValueError:
-                raise ParseError(f"bad exponent {tok!r}", lineno) from None
-            if e < 0:
-                raise ParseError(f"negative exponent {e}", lineno)
-            exps.append(e)
-        mono = tuple(exps)
-        if mono in seen:
-            raise ParseError(f"duplicate monomial {mono}", lineno)
-        seen.add(mono)
-        terms[mono] = coeff
+        _add_term(terms, tokens[0], tokens[1:], n, line=lineno)
     if n is None:
         raise ParseError("no polynomial found in input")
     return Polynomial(n, terms)
@@ -307,24 +338,18 @@ def to_json_dict(f: Polynomial) -> dict:
 
 
 def from_json_dict(data: dict) -> Polynomial:
+    """Inverse of :func:`to_json_dict`.  Raises ParseError naming the term
+    on malformed input."""
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ParseError("polynomial JSON needs 'n' and 'terms' keys")
-    try:
-        n = int(data["n"])
-    except (TypeError, ValueError):
-        raise ParseError(f"bad variable count {data.get('n')!r}") from None
+    n = _variable_count(data["n"])
+    if not isinstance(data["terms"], list):
+        raise ParseError(f"'terms' must be a list, not {data['terms']!r}")
     terms: dict[Monomial, float] = {}
-    seen: set[Monomial] = set()
     for k, entry in enumerate(data["terms"]):
         if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
-            raise ParseError(f"term {k} needs 'c' and 'e' keys")
-        mono = tuple(int(e) for e in entry["e"])
-        if mono in seen:
-            raise ParseError(f"duplicate monomial {mono} (term {k})")
-        seen.add(mono)
-        terms[mono] = float(entry["c"])
-        if not math.isfinite(terms[mono]):
-            raise ParseError(f"non-finite coefficient {entry['c']!r} (term {k})")
+            raise ParseError("needs 'c' and 'e' keys", term=k)
+        _add_term(terms, entry["c"], entry["e"], n, term=k)
     return Polynomial(n, terms)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l1sos import (
+    MomentVector,
     NonNegBlock,
     Polynomial,
     PsdBlock,
@@ -23,9 +24,10 @@ from l1sos import (
     uniform_sos_perturbation,
     verify,
 )
+from l1sos import approx
 from l1sos.approx import ApproximationResult
 
-from conftest import random_polynomial
+from conftest import dense_polynomial, random_polynomial
 
 
 def x_(n, i):
@@ -39,6 +41,48 @@ def random_sos(rng, n, d, rank=None):
     rank = rank or s
     r = rng.standard_normal((s, rank))
     return bp.gram_polynomial(r @ r.T)
+
+
+def cli_table1_inputs(seed):
+    """The SOS g and the non-SOS h of the cli-table1 benchmark workload at
+    ``seed``: g = v(x)^T G v(x) with G = R R^T / 6 for a standard normal
+    6 x 6 R, over the degree-2 basis in two variables, and h = g - g(0) - 0.5,
+    which is negative at 0."""
+    rng = np.random.default_rng(seed)
+    dense_polynomial(rng, 2, 4)  # the workload's approx input, drawn first
+    bp = basis_products(2, 2)
+    r = rng.standard_normal((6, 6))
+    g = bp.gram_polynomial(r @ r.T / 6)
+    return g, g - (g.coefficient((0, 0)) + 0.5)
+
+
+def not_sos_sweep():
+    """(id, g, d) for 56 polynomials that are not SOS: multiples of
+    Motzkin-like, dense random inputs and the cli-table1 h inputs."""
+    f = motzkin_like()
+    cases = [(f"motzkin*{c:g}", c * f, 3) for c in (1.0, 1e-8, 1e-4, 1e-2, 1e2, 1e4, 1e6)]
+    for n, d in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2)]:
+        for k in range(3):
+            rng = np.random.default_rng(1000 * n + 10 * d + k)
+            cases.append((f"dense_n{n}_d{d}_{k}", dense_polynomial(rng, n, 2 * d), d))
+    cases += [(f"cli_h{seed}", cli_table1_inputs(seed)[1], 2) for seed in range(1, 23)]
+    return cases
+
+
+def counting_solves(monkeypatch, tamper=None):
+    """Record the status of every solve that approx runs, after ``tamper``
+    has had its way with each solution."""
+    statuses, real = [], approx.solve
+
+    def solve(problem, options=None):
+        sol = real(problem, options)
+        if tamper is not None:
+            tamper(sol)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(approx, "solve", solve)
+    return statuses
 
 
 class TestAssembleReducedDual:
@@ -227,6 +271,120 @@ class TestIsSos:
         cert = is_sos(g, 2)
         assert isinstance(cert, SosCertificate)
         assert cert.residual <= 1e-6 * g.l1_norm()
+
+
+NOT_SOS = not_sos_sweep()
+
+
+class TestFarkasRayRefutation:
+    @pytest.mark.parametrize("g,d", [case[1:] for case in NOT_SOS], ids=[case[0] for case in NOT_SOS])
+    def test_refuted_from_the_ray(self, monkeypatch, g, d):
+        # One membership solve, infeasible; its ray, scaled to corner
+        # moments at most 1, is the witness, and it verifies.
+        statuses = counting_solves(monkeypatch)
+        ref = is_sos(g, d)
+        assert statuses == [Status.INFEASIBLE]
+        assert isinstance(ref, SosRefutation)
+        assert verify(ref, g, d).all_passed
+        d0 = ref.witness.degree // 2
+        corners = [ref.witness.value(m) for m in approx._perturbation_monomials(g.n, 2 * d0)]
+        assert max(corners) == 1.0
+        assert ref.value == riesz(ref.witness, g)
+
+    @pytest.mark.parametrize("name", ["motzkin*1", "dense_n3_d2_0", "dense_n2_d5_0"])
+    def test_ray_value_bounds_rho(self, name):
+        # The scaled ray is feasible for the bounded program, so
+        # -L_y(g / ||g||_1) <= rho_{d0}(g / ||g||_1).
+        g, d = next(case[1:] for case in NOT_SOS if case[0] == name)
+        unit = g * (1.0 / g.l1_norm())
+        ref = is_sos(g, d)
+        rho = best_l1_sos_approximation(unit, ref.witness.degree // 2).rho
+        assert 0.0 < -riesz(ref.witness, unit) <= rho * (1.0 + 1e-7)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tamper", ["zero", "positive_value", "not_psd"])
+    def test_fallback_when_ray_fails_check(self, motzkin, monkeypatch, tamper):
+        # The ray is replaced by y = 0, which has no positive corner moment;
+        # by y = 1 at the constant, which has a PSD moment matrix but
+        # L_y(g) = g(0) > 0; or by y = 1 at 1 and x1^2 x2^2, which has
+        # L_y(g) = 1/27 - 1 < 0 but the indefinite 2 x 2 minor [[0, 1], [1, 0]]
+        # at (x1, x1 x2^2).  Each falls back to the bounded program's
+        # refutation, bit for bit.  Motzkin-like keeps the constraints of the
+        # even monomials, in basis order.
+        even = [m for m in enumerate_basis(2, 6).monomials if not any(e % 2 for e in m)]
+        ones = {"zero": [], "positive_value": [(0, 0)], "not_psd": [(0, 0), (2, 2)]}[tamper]
+
+        def replace_dual(sol):
+            if sol.status == Status.INFEASIBLE:
+                sol.dual = np.zeros(sol.dual.size)
+                sol.dual[[even.index(m) for m in ones]] = -1.0
+
+        statuses = counting_solves(monkeypatch, replace_dual)
+        ref = is_sos(motzkin, 3)
+        assert statuses == [Status.INFEASIBLE, Status.OPTIMAL]
+        monkeypatch.undo()
+        bounded = best_l1_sos_approximation(motzkin * (1.0 / motzkin.l1_norm()), 3)
+        assert isinstance(ref, SosRefutation)
+        assert np.array_equal(ref.witness.values, bounded.y_star.values)
+        assert ref.value == riesz(bounded.y_star, motzkin)
+
+
+class TestVerifySosAnswers:
+    def test_ladder_refutations_verify(self, motzkin):
+        for d in range(3, 12):
+            report = verify(is_sos(motzkin, d), motzkin, d)
+            assert report.all_passed, f"d={d}\n{report}"
+            assert [c.name for c in report.checks] == [
+                "witness_moment_psd", "witness_value_negative",
+            ]
+
+    def test_cli_table1_certificates_verify(self):
+        for seed in range(1, 23):
+            g = cli_table1_inputs(seed)[0]
+            cert = is_sos(g, 2)
+            assert isinstance(cert, SosCertificate)
+            report = verify(cert, g, 2)
+            assert report.all_passed, f"seed={seed}\n{report}"
+            assert [c.name for c in report.checks] == [
+                "certificate_weights_positive", "certificate_reconstruction",
+            ]
+
+    def test_negated_witness_fails(self, motzkin):
+        ref = is_sos(motzkin, 3)
+        y = MomentVector(ref.witness.basis, -ref.witness.values)
+        report = verify(SosRefutation(y, -ref.value), motzkin, 3)
+        assert not any(c.passed for c in report.checks)
+
+    def test_negative_diagonal_moment_fails(self, motzkin):
+        ref = is_sos(motzkin, 3)
+        values = ref.witness.values.copy()
+        values[ref.witness.basis.index_of((2, 0))] = -1.0
+        y = MomentVector(ref.witness.basis, values)
+        checks = {c.name: c for c in verify(SosRefutation(y, riesz(y, motzkin)), motzkin, 3).checks}
+        assert not checks["witness_moment_psd"].passed
+
+    def test_witness_of_another_degree_fails(self, motzkin):
+        # A degree-4 y cannot fill M_3: report entries, not an exception.
+        ref = is_sos(motzkin, 3)
+        basis = enumerate_basis(2, 4)
+        y = MomentVector(basis, ref.witness.values[: len(basis)])
+        report = verify(SosRefutation(y, ref.value), motzkin, 3)
+        assert [c.residual for c in report.checks] == [float("inf")] * 2
+
+    def test_changed_weight_fails(self):
+        # The stored residual is not read: a certificate with one weight
+        # changed by 1e-3 fails although its residual still reads small.
+        g = cli_table1_inputs(1)[0]
+        cert = is_sos(g, 2)
+        weights = list(cert.weights)
+        weights[-1] *= 1.0 + 1e-3
+        tampered = SosCertificate(cert.squares, tuple(weights), cert.residual)
+        failed = {c.name for c in verify(tampered, g, 2).checks if not c.passed}
+        assert failed == {"certificate_reconstruction"}
+
+    def test_zero_polynomial(self):
+        g = Polynomial.zero(2)
+        assert verify(is_sos(g, 1), g, 1).all_passed
 
 
 class TestUniformPerturbation:

@@ -154,6 +154,20 @@ class TestErrorPaths:
         assert main(["check-sos", "--input", str(path), "--degree", "1"]) == 1
         assert "line 1: non-finite coefficient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,message", [
+        ('{"c": null, "e": [2]}', "bad coefficient None (term 1)"),
+        ('{"c": "abc", "e": [2]}', "bad coefficient 'abc' (term 1)"),
+        ('{"c": 1.0, "e": [2.5]}', "bad exponent 2.5 (term 1)"),
+    ], ids=["null_coefficient", "string_coefficient", "fractional_exponent"])
+    def test_malformed_json_term_names_it(self, tmp_path, capsys, entry, message):
+        # A null coefficient used to end in a TypeError traceback, a string
+        # in an "invalid input" without the term, and a fractional exponent
+        # was truncated and solved.
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 1, "terms": [{{"c": 1.0, "e": [0]}}, {entry}]}}')
+        assert main(["approx", "--input", str(path), "--degree", "1"]) == 1
+        assert capsys.readouterr().err == f"l1sos: parse error: {message}\n"
+
     def test_unwritable_output(self, motzkin_file, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         code = main(["approx", "--input", str(motzkin_file), "--degree", "3",
