@@ -8,24 +8,28 @@ blocks in the standard pair
                 Z in K
 
 where K is the product of the block cones.  The algorithm is path-following
-with the HKM search direction and a Mehrotra predictor-corrector step.  A
-PSD block is a symmetric matrix and a nonnegative block a vector; the
-kernels branch on the block type.
+with the Nesterov-Todd (NT) search direction and a Mehrotra
+predictor-corrector step (Todd, Toh & Tutuncu, "On the Nesterov-Todd
+direction in semidefinite programming", SIAM J. Optim. 8, 1998).  A PSD
+block is a symmetric matrix and a nonnegative block a vector; the kernels
+branch on the block type.
 
 The constraint coefficients come as one :class:`Entries` per block, a flat
 list of (constraint, row, column, value) entries, the input format of SDPA.
 It stores both (r, c) and (c, r) of every PSD entry, sorted by constraint,
-repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  The
-Schur complement M[i, j] = <A_i, X A_j S^{-1}> is built factored, using the
+repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  On each
+PSD block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
+complement M[i, j] = <A_i, W A_j W> is built factored, using the
 per-constraint sparsity of SDPA (Fujisawa, Kojima & Nakata, Math.
-Programming 79, 1997): with X = R R^T and S^{-1} = L L^T, row i of Q is
-vec(R^T A_i L), one small product over constraint i's entries, and
-M = Q Q^T is positive semidefinite by construction.  M gets a dense
-Cholesky factorization, solved by blocked substitution; on breakdown each
-row is shifted by an escalating multiple of its own diagonal entry.  Only
-numpy is needed.  Everything is deterministic: a fixed scale-aware starting
-point and no randomized pivoting, so identical inputs produce identical
-iterate sequences.
+Programming 79, 1997): row i of Q is the symmetric G^T A_i G, one small
+product over constraint i's entries, packed to its s(s+1)/2 distinct
+entries, and M = Q Q^T with the off-diagonal entries counted twice is
+positive semidefinite by construction.  M gets a dense Cholesky
+factorization, solved by blocked substitution; on breakdown each row is
+shifted by an escalating multiple of its own diagonal entry.  Only numpy is
+needed.  Everything is deterministic: a fixed scale-aware starting point and
+no randomized pivoting, so identical inputs produce identical iterate
+sequences.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -34,6 +38,8 @@ the tens to low hundreds.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -213,6 +219,11 @@ class IterationStats(NamedTuple):
     mu: float
     feas_primal: float
     feas_dual: float
+    # The step taken from this iterate: primal and dual step lengths and the
+    # centering parameter; nan on the last row.
+    alpha_p: float = math.nan
+    alpha_d: float = math.nan
+    sigma: float = math.nan
 
 
 @dataclass(eq=False)
@@ -270,76 +281,118 @@ def _inner(blocks, xs, ys) -> float:
     return total
 
 
-def _max_step_psd(linv: np.ndarray, d: np.ndarray) -> float:
-    """Largest t with x + t*d still PSD, given linv = inv(cholesky(x)) of a
-    positive definite x."""
-    w = linv @ d @ linv.T
-    lmin = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
+def _max_step_psd(d: np.ndarray, dd: np.ndarray) -> float:
+    """Largest t with diag(d) + t*dd still PSD, for the scaled iterate
+    diag(d) of the NT scaling, d > 0."""
+    r = d**-0.5
+    lmin = np.linalg.eigvalsh(dd * r[:, None] * r)[0]
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin
 
 
-def _max_step_nonneg(x: np.ndarray, d: np.ndarray) -> float:
-    neg = d < 0
+def _max_step_nonneg(d: np.ndarray, dd: np.ndarray) -> float:
+    """Largest t with d + t*dd still nonnegative, for d > 0."""
+    neg = dd < 0
     if not neg.any():
         return np.inf
-    return float(np.min(-x[neg] / d[neg]))
+    return float(np.min(-d[neg] / dd[neg]))
 
 
-def _max_step(blocks, linvs, xs, ds) -> float:
+def _max_step(blocks, scalings, dds) -> float:
+    """Largest step along the scaled directions ``dds`` from the scaled
+    iterates of ``scalings``."""
     step = np.inf
-    for blk, linv, x, d in zip(blocks, linvs, xs, ds):
+    for blk, (_, d), dd in zip(blocks, scalings, dds):
         if isinstance(blk, PsdBlock):
-            step = min(step, _max_step_psd(linv, d))
+            step = min(step, _max_step_psd(d, dd))
         else:
-            step = min(step, _max_step_nonneg(x, d))
+            step = min(step, _max_step_nonneg(d, dd))
     return step
 
 
-def _schur_rows(e: Entries, r: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Q with M = Q Q^T on a PSD block's touched constraints, for X = R R^T
-    and S^{-1} = L L^T: row t is vec(R^T A_i L) for i = touched[t], the sum
-    over constraint i's entries (p, q, v) of v R[p]^T L[q]."""
-    s = r.shape[0]
-    left = r[e.rows] * e.vals[:, None]
-    right = l[e.cols]
-    q = np.empty((e.touched.size, s, s))
+def _nt_scaling(x: np.ndarray, s: np.ndarray):
+    """G and d with G^T S G = G^{-1} X G^{-T} = diag(d) on a PSD block: W = G G^T
+    is the NT scaling point, W S W = X.  With X = Lx Lx^T, S = Ls Ls^T and
+    (Ls^T Lx)^T (Ls^T Lx) = V diag(lam) V^T, G = Lx V diag(lam)^(-1/4) and
+    d = lam^(1/2).  Raises LinAlgError if X or S is not numerically positive
+    definite."""
+    lx = np.linalg.cholesky(x)
+    p = np.linalg.cholesky(s).T @ lx
+    lam, v = np.linalg.eigh(p.T @ p)
+    if not lam[0] > 0.0:
+        raise np.linalg.LinAlgError("scaled iterate is not positive definite")
+    d = np.sqrt(lam)
+    return (lx @ v) / np.sqrt(d), d
+
+
+@functools.lru_cache(maxsize=64)
+def _packed_columns(s: int) -> np.ndarray:
+    """Flat indices into an s x s matrix: the diagonal, then the strict upper
+    triangle."""
+    rows, cols = np.triu_indices(s, 1)
+    out = np.concatenate([np.arange(s) * (s + 1), rows * s + cols])
+    out.flags.writeable = False
+    return out
+
+
+# At most this many rows of the Schur factor are formed full, s x s, before
+# they are packed, so the full factor is never held.
+_PACK_ROWS = 16
+
+
+def _schur_rows(e: Entries, g: np.ndarray) -> np.ndarray:
+    """Q with M = Q_d Q_d^T + 2 Q_u Q_u^T on a PSD block's touched
+    constraints, for the NT scaling point W = G G^T: row t packs the symmetric
+    G^T A_i G for i = touched[t], the sum over constraint i's entries
+    (p, q, v) of v G[p]^T G[q].  Its diagonal fills the first s columns
+    (Q_d), its strict upper triangle the rest (Q_u)."""
+    s = g.shape[0]
+    k = e.touched.size
+    left = g[e.rows] * e.vals[:, None]
+    right = g[e.cols]
+    cols = _packed_columns(s)
+    q = np.empty((k, cols.size))
+    full = np.empty((min(k, _PACK_ROWS), s, s))
     bounds = e.bounds.tolist()
-    for t in range(e.touched.size):
-        lo, hi = bounds[t], bounds[t + 1]
-        np.matmul(left[lo:hi].T, right[lo:hi], out=q[t])
-    return q.reshape(e.touched.size, s * s)
+    for lo in range(0, k, _PACK_ROWS):
+        hi = min(lo + _PACK_ROWS, k)
+        for t in range(lo, hi):
+            a, z = bounds[t], bounds[t + 1]
+            np.matmul(left[a:z].T, right[a:z], out=full[t - lo])
+        np.take(full[: hi - lo].reshape(hi - lo, s * s), cols, axis=1, out=q[lo:hi], mode="clip")
+    return q
 
 
 def _schur_complement(blocks, coefs, xs, ss, m: int):
-    """The Schur complement M[i, j] = <A_i, X A_j S^{-1}>, summed over the
-    blocks as Q Q^T on the constraints each one touches; also the inverses
-    of the slack blocks, and the inverse Cholesky factors of the PSD blocks
-    of X and S for the step lengths.  Raises LinAlgError if a PSD block of
-    X or S is not numerically positive definite."""
-    sinvs, x_linvs, s_linvs = [], [], []
+    """The Schur complement M[i, j] = <A_i, W A_j W> of the NT direction,
+    summed over the blocks as Q Q^T on the constraints each one touches; also
+    the scaling of every block.  A PSD block's is (G, d) from
+    :func:`_nt_scaling`; a nonnegative block's is (w, d) with
+    w = sqrt(x / s), the diagonal of W, and d = sqrt(x s).  Raises
+    LinAlgError if a PSD block of X or S is not numerically positive
+    definite."""
+    scalings = []
     schur = np.zeros((m, m))
     for blk, e, x, s in zip(blocks, coefs, xs, ss):
         if isinstance(blk, PsdBlock):
-            rx = np.linalg.cholesky(x)
-            ls = np.linalg.inv(np.linalg.cholesky(s))
-            sinv = ls.T @ ls
-            x_linvs.append(np.linalg.inv(rx))
-            s_linvs.append(ls)
-            q = _schur_rows(e, rx, ls.T)
+            g, d = _nt_scaling(x, s)
+            q = _schur_rows(e, g)
+            diag, upper = q[:, : blk.dim], q[:, blk.dim :]
+            block = upper @ upper.T
+            block *= 2.0
+            block += diag @ diag.T
         else:
-            sinv = 1.0 / s
-            x_linvs.append(None)
-            s_linvs.append(None)
+            g, d = np.sqrt(x / s), np.sqrt(x * s)
             q = np.zeros((e.touched.size, blk.count))
-            q[e.slot, e.rows] = e.vals * np.sqrt(x * sinv)[e.rows]
-        sinvs.append(sinv)
+            q[e.slot, e.rows] = e.vals * g[e.rows]
+            block = q @ q.T
+        scalings.append((g, d))
         if e.touched.size == m:
-            schur += q @ q.T
+            schur += block
         else:
-            schur[np.ix_(e.touched, e.touched)] += q @ q.T
-    return schur, sinvs, x_linvs, s_linvs
+            schur[np.ix_(e.touched, e.touched)] += block
+    return schur, scalings
 
 
 def _factor_schur(m: np.ndarray):
@@ -494,7 +547,9 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         if stepped is None:
             status = Status.NUMERICAL_FAILURE
             break
-        xs, y, ss = stepped
+        xs, y, ss, alpha_p, alpha_d, sigma = stepped
+        if trace is not None:
+            trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma)
 
     return ConicSolution(
         status=status,
@@ -511,41 +566,65 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     )
 
 
+def _scaled(blk, g: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """G^T mat G: a block of the dual side in the NT scaled space, symmetric
+    up to roundoff."""
+    return g.T @ mat @ g if isinstance(blk, PsdBlock) else g * mat
+
+
+def _unscaled(blk, g: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """G mat G^T: a block of the primal side back from the NT scaled space,
+    symmetric up to roundoff."""
+    return g @ mat @ g.T if isinstance(blk, PsdBlock) else g * mat
+
+
 def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
-    """One Mehrotra predictor-corrector step along the HKM direction.
-    Returns the updated (xs, y, ss) or None on factorization breakdown."""
+    """One Mehrotra predictor-corrector step along the NT direction.
+
+    In the scaled space of each block both X and S are diag(d); with
+    dX~ = G^{-1} dX G^{-T} and dS~ = G^T dS G the direction solves
+
+        A(dX) = rp,   A^T(dy) + dS = Rd,   dX~ + dS~ = E - diag(d),
+
+    with E = 0 on the predictor and, on the corrector,
+    E = sigma mu diag(d)^{-1} - (dX~_a dS~_a + dS~_a dX~_a) / (d_i + d_j),
+    the symmetrized complementarity equation at diag(d).  Eliminating dX
+    and dS leaves M dy = b + A(G (G^T Rd G - E) G^T).  Step lengths are read
+    off the scaled iterate.  Returns the updated (xs, y, ss) with the step
+    lengths and sigma, or None on factorization breakdown."""
     m = len(b)
-    schur, sinvs, x_linvs, s_linvs = _schur_complement(blocks, coefs, xs, ss, m)
+    schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
     factor = _factor_schur(schur)
     if factor is None:
         return None
+    psd = [isinstance(blk, PsdBlock) for blk in blocks]
+    dmats = [np.diag(d) if p else d for p, (_, d) in zip(psd, scalings)]
+    rd_scaled = [_scaled(blk, g, r) for blk, (g, _), r in zip(blocks, scalings, rd)]
 
-    def a_of(mats):
-        return _apply_a(coefs, mats, m)
+    def direction(es):
+        rhs = b + _apply_a(
+            coefs,
+            [_unscaled(blk, g, r - e) for blk, (g, _), r, e in zip(blocks, scalings, rd_scaled, es)],
+            m,
+        )
+        dy = _schur_solve(factor, schur, rhs)
+        ds = [r - at for r, at in zip(rd, _apply_at(coefs, blocks, dy))]
+        ds_scaled = [_scaled(blk, g, dsk) for blk, (g, _), dsk in zip(blocks, scalings, ds)]
+        dx_scaled = [e - dm - dst for e, dm, dst in zip(es, dmats, ds_scaled)]
+        return dy, ds, dx_scaled, ds_scaled
 
     # Predictor: pure Newton step toward feasibility and zero complementarity.
-    rhs_aff = b + a_of(
-        [
-            (x @ r) @ sinv if isinstance(blk, PsdBlock) else x * r * sinv
-            for blk, x, r, sinv in zip(blocks, xs, rd, sinvs)
-        ]
-    )
-    dy_a = _schur_solve(factor, schur, rhs_aff)
-    at_dy = _apply_at(coefs, blocks, dy_a)
-    ds_a = [r - at for r, at in zip(rd, at_dy)]
-    dx_a = []
-    for blk, x, ds, sinv in zip(blocks, xs, ds_a, sinvs):
-        if isinstance(blk, PsdBlock):
-            d = -x - (x @ ds) @ sinv
-            dx_a.append(0.5 * (d + d.T))
-        else:
-            dx_a.append(-x - x * ds * sinv)
-
-    alpha_p = min(1.0, _max_step(blocks, x_linvs, xs, dx_a))
-    alpha_d = min(1.0, _max_step(blocks, s_linvs, ss, ds_a))
-    x_trial = [x + alpha_p * d for x, d in zip(xs, dx_a)]
-    s_trial = [s + alpha_d * d for s, d in zip(ss, ds_a)]
-    mu_aff = max(_inner(blocks, x_trial, s_trial), 0.0) / nu
+    _, _, dx_a, ds_a = direction([0.0] * len(blocks))
+    alpha_p = min(1.0, _max_step(blocks, scalings, dx_a))
+    alpha_d = min(1.0, _max_step(blocks, scalings, ds_a))
+    mu_aff = max(
+        _inner(
+            blocks,
+            [dm + alpha_p * dx for dm, dx in zip(dmats, dx_a)],
+            [dm + alpha_d * ds for dm, ds in zip(dmats, ds_a)],
+        ),
+        0.0,
+    ) / nu
     sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
     # Safeguard: when infeasibility dominates the complementarity measure,
     # keep some centering so feasibility progress is not starved (otherwise
@@ -556,38 +635,29 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
         sigma = max(sigma, min(0.5, 0.1 * rp_ratio))
     target = sigma * mu
 
-    # Corrector: recenter toward sigma*mu and compensate the dx*ds term.
-    cross = [
-        dx @ ds if isinstance(blk, PsdBlock) else dx * ds
-        for blk, dx, ds in zip(blocks, dx_a, ds_a)
-    ]
-    rhs = (
-        b
-        - target * a_of(sinvs)
-        + a_of(
-            [
-                (x @ r + cr) @ sinv if isinstance(blk, PsdBlock) else (x * r + cr) * sinv
-                for blk, x, r, cr, sinv in zip(blocks, xs, rd, cross, sinvs)
-            ]
-        )
-    )
-    dy = _schur_solve(factor, schur, rhs)
-    at_dy = _apply_at(coefs, blocks, dy)
-    ds = [r - at for r, at in zip(rd, at_dy)]
-    dx = []
-    for blk, x, dsk, cr, sinv in zip(blocks, xs, ds, cross, sinvs):
-        if isinstance(blk, PsdBlock):
-            d = target * sinv - x - (cr + x @ dsk) @ sinv
-            dx.append(0.5 * (d + d.T))
+    # Corrector: recenter toward sigma*mu and compensate the dX~ dS~ term.
+    es = []
+    for p, (_, d), dx, ds in zip(psd, scalings, dx_a, ds_a):
+        if p:
+            h = dx @ ds
+            e = -(h + h.T) / (d[:, None] + d)
+            e.flat[:: d.size + 1] += target / d
         else:
-            dx.append(target * sinv - x - (cr + x * dsk) * sinv)
+            e = (target - dx * ds) / d
+        es.append(e)
+    dy, ds, dx_scaled, ds_scaled = direction(es)
 
-    alpha_p = min(1.0, _STEP_FRACTION * _max_step(blocks, x_linvs, xs, dx))
-    alpha_d = min(1.0, _STEP_FRACTION * _max_step(blocks, s_linvs, ss, ds))
+    alpha_p = min(1.0, _STEP_FRACTION * _max_step(blocks, scalings, dx_scaled))
+    alpha_d = min(1.0, _STEP_FRACTION * _max_step(blocks, scalings, ds_scaled))
     if max(alpha_p, alpha_d) < 1e-13:
         return None
 
-    xs_new = [x + alpha_p * d for x, d in zip(xs, dx)]
+    xs_new = []
+    for blk, (g, _), x, dx in zip(blocks, scalings, xs, dx_scaled):
+        dx = _unscaled(blk, g, dx)
+        if isinstance(blk, PsdBlock):
+            dx = 0.5 * (dx + dx.T)
+        xs_new.append(x + alpha_p * dx)
     y_new = y + alpha_d * dy
     ss_new = [s + alpha_d * d for s, d in zip(ss, ds)]
-    return xs_new, y_new, ss_new
+    return xs_new, y_new, ss_new, alpha_p, alpha_d, sigma

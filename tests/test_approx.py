@@ -190,6 +190,26 @@ class TestBestApproximation:
             assert verify(res, f, 2).all_passed
 
 
+# Dense bivariate inputs whose solves end at the primal feasibility floor:
+# dense_polynomial(default_rng(100 + k), 2, 2d) for k = 0..5, d = 5..11.
+# With the HKM search direction, which the solver used before the
+# Nesterov-Todd one, 16 of the 42 raised SolverFailure, with one BLAS thread
+# and with two.  The bound may fall; it must never rise.
+ENDGAME_CORPUS_MAX_FAILURES = 16
+
+
+def test_endgame_corpus_failures_do_not_grow():
+    failed = []
+    for d in range(5, 12):
+        for k in range(6):
+            f = dense_polynomial(np.random.default_rng(100 + k), 2, 2 * d)
+            try:
+                best_l1_sos_approximation(f, d)
+            except SolverFailure as exc:
+                failed.append((k, d, str(exc)))
+    assert len(failed) <= ENDGAME_CORPUS_MAX_FAILURES, failed
+
+
 class TestFullForm:
     def test_assemble_shapes(self):
         f = x_(2, 0) * x_(2, 1)

@@ -111,6 +111,18 @@ class TestIterateInvariants:
         assert first.trace == second.trace  # bit-identical floats
         assert np.array_equal(first.dual, second.dual)
 
+    def test_step_data_in_trace(self):
+        problem = assemble_reduced_dual(motzkin_like(), 4)
+        sol = solve(problem, SolverOptions(trace=True))
+        *steps, last = sol.trace
+        assert steps
+        for stats in steps:
+            assert 0.0 < stats.alpha_p <= 1.0
+            assert 0.0 < stats.alpha_d <= 1.0
+            assert 0.0 <= stats.sigma <= 1.0
+        assert np.isnan([last.alpha_p, last.alpha_d, last.sigma]).all()
+        assert solve(problem).trace is None
+
     def test_solution_blocks_psd(self):
         sol = solve(assemble_reduced_dual(motzkin_like(), 4))
         for mats in (sol.primal, sol.slack):
@@ -356,6 +368,19 @@ class TestKernels:
             if at.ndim == 2:
                 assert np.array_equal(at, at.T)
 
+    def test_nt_scaling_point(self, seed):
+        rng = np.random.default_rng(seed)
+        problem, _ = random_conic_problem(rng)
+        xs, ss = random_interior(rng, problem)
+        for blk, x, s in zip(problem.blocks, xs, ss):
+            if isinstance(blk, PsdBlock):
+                g, d = sdp._nt_scaling(x, s)
+                w = g @ g.T
+                assert rel_diff(w @ s @ w, x) <= 1e-12
+                # Both iterates are diag(d) in the scaled space.
+                assert rel_diff(g.T @ s @ g, np.diag(d)) <= 1e-12
+                assert d.min() > 0.0
+
     def test_schur_complement(self, seed):
         rng = np.random.default_rng(seed)
         problem, raw = random_conic_problem(rng)
@@ -365,8 +390,10 @@ class TestKernels:
         ref = np.zeros((problem.m, problem.m))
         for a, x, s in zip(dense_reference(problem, raw), xs, ss):
             if a.ndim == 3:
-                # M[i, j] = <A_i, X A_j S^{-1}>
-                ref += np.einsum("ipq,qr,jrs,sp->ij", a, x, a, np.linalg.inv(s))
+                # M[i, j] = <A_i, W A_j W> at the NT scaling point W S W = X.
+                g = sdp._nt_scaling(x, s)[0]
+                w = g @ g.T
+                ref += np.einsum("ipq,qr,jrs,sp->ij", a, w, a, w)
             else:
                 ref += (a * (x / s)) @ a.T
         assert rel_diff(schur, ref) <= 1e-13
