@@ -19,17 +19,17 @@ list of (constraint, row, column, value) entries, the input format of SDPA.
 It stores both (r, c) and (c, r) of every PSD entry, sorted by constraint,
 repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  On each
 PSD block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
-complement M[i, j] = <A_i, W A_j W> is built factored, using the
-per-constraint sparsity of SDPA (Fujisawa, Kojima & Nakata, Math.
-Programming 79, 1997): row i of Q is the symmetric G^T A_i G, one small
-product over constraint i's entries, packed to its s(s+1)/2 distinct
-entries, and M = Q Q^T with the off-diagonal entries counted twice is
-positive semidefinite by construction.  M gets a dense Cholesky
+complement M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
+(Fujisawa, Kojima & Nakata, Math. Programming 79, 1997), using the
+per-constraint sparsity: W A_j W is one small product over constraint j's
+entries, and column j of M is read off it at the upper-triangle entries of
+every constraint, summed by label in one reduction.  M is symmetrized once;
+it is positive semidefinite only up to roundoff.  M gets a dense Cholesky
 factorization, solved by blocked substitution; on breakdown each row is
-shifted by an escalating multiple of its own diagonal entry.  Only numpy is
-needed.  Everything is deterministic: a fixed scale-aware starting point and
-no randomized pivoting, so identical inputs produce identical iterate
-sequences.
+shifted by an escalating multiple of its own diagonal entry, and the shift
+is reported.  Only numpy is needed.  Everything is deterministic: a fixed
+scale-aware starting point and no randomized pivoting, so identical inputs
+produce identical iterate sequences.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -38,7 +38,6 @@ the tens to low hundreds.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -89,6 +88,10 @@ class Entries:
     constraints with an entry in the block; entry e belongs to
     ``touched[slot[e]]``, and the entries of ``touched[t]`` are
     ``bounds[t]:bounds[t + 1]``.
+
+    The ``triu_*`` fields keep the entries with row <= column in the same
+    order, off-diagonal values doubled, so <A_i, Y> for a symmetric Y sums
+    over them alone; those of ``touched[t]`` start at ``triu_starts[t]``.
     """
 
     con: np.ndarray
@@ -98,6 +101,10 @@ class Entries:
     touched: np.ndarray = field(init=False)
     slot: np.ndarray = field(init=False)
     bounds: np.ndarray = field(init=False)
+    triu_rows: np.ndarray = field(init=False)
+    triu_cols: np.ndarray = field(init=False)
+    triu_vals: np.ndarray = field(init=False)
+    triu_starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         con, rows, cols = (np.asarray(a, dtype=int) for a in (self.con, self.rows, self.cols))
@@ -121,10 +128,17 @@ class Entries:
         vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
         con, rows, cols = con[new], rows[new], cols[new]
         first = np.diff(con, prepend=-1) != 0
+        # Every constraint keeps an entry here: each one below the diagonal
+        # has its mirror above it.
+        up = rows <= cols
+        triu_first = np.diff(con[up], prepend=-1) != 0
         for name, value in (
             ("con", con), ("rows", rows), ("cols", cols), ("vals", vals),
             ("touched", con[first]), ("slot", np.cumsum(first) - 1),
             ("bounds", np.append(np.flatnonzero(first), con.size)),
+            ("triu_rows", rows[up]), ("triu_cols", cols[up]),
+            ("triu_vals", np.where(rows == cols, 1.0, 2.0)[up] * vals[up]),
+            ("triu_starts", np.flatnonzero(triu_first)),
         ):
             object.__setattr__(self, name, value)
 
@@ -219,11 +233,13 @@ class IterationStats(NamedTuple):
     mu: float
     feas_primal: float
     feas_dual: float
-    # The step taken from this iterate: primal and dual step lengths and the
-    # centering parameter; nan on the last row.
+    # The step taken from this iterate: primal and dual step lengths, the
+    # centering parameter and the shift of the unit-diagonal Schur complement
+    # that its factorization needed; nan on the last row.
     alpha_p: float = math.nan
     alpha_d: float = math.nan
     sigma: float = math.nan
+    reg: float = math.nan
 
 
 @dataclass(eq=False)
@@ -326,49 +342,41 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return (lx @ v) / np.sqrt(d), d
 
 
-@functools.lru_cache(maxsize=64)
-def _packed_columns(s: int) -> np.ndarray:
-    """Flat indices into an s x s matrix: the diagonal, then the strict upper
-    triangle."""
-    rows, cols = np.triu_indices(s, 1)
-    out = np.concatenate([np.arange(s) * (s + 1), rows * s + cols])
-    out.flags.writeable = False
-    return out
+# W A_j W is formed for this many constraints j at a time before their
+# columns of M are read off, so the products are never all held.
+_SCHUR_CHUNK = 16
 
 
-# At most this many rows of the Schur factor are formed full, s x s, before
-# they are packed, so the full factor is never held.
-_PACK_ROWS = 16
-
-
-def _schur_rows(e: Entries, g: np.ndarray) -> np.ndarray:
-    """Q with M = Q_d Q_d^T + 2 Q_u Q_u^T on a PSD block's touched
-    constraints, for the NT scaling point W = G G^T: row t packs the symmetric
-    G^T A_i G for i = touched[t], the sum over constraint i's entries
-    (p, q, v) of v G[p]^T G[q].  Its diagonal fills the first s columns
-    (Q_d), its strict upper triangle the rest (Q_u)."""
-    s = g.shape[0]
+def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
+    """M[i, j] = <A_i, W A_j W> on a PSD block's touched constraints, by the F3
+    formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
+    of v W[:, p] W[q, :], and row j of the result sums v (W A_j W)[p, q] over
+    the upper-triangle entries of each constraint i, W A_j W being symmetric.
+    Symmetric only up to roundoff."""
+    s = w.shape[0]
     k = e.touched.size
-    left = g[e.rows] * e.vals[:, None]
-    right = g[e.cols]
-    cols = _packed_columns(s)
-    q = np.empty((k, cols.size))
-    full = np.empty((min(k, _PACK_ROWS), s, s))
+    left = w[e.rows] * e.vals[:, None]
+    right = w[e.cols]
+    flat = e.triu_rows * s + e.triu_cols
+    out = np.empty((k, k))
+    full = np.empty((min(k, _SCHUR_CHUNK), s, s))
     bounds = e.bounds.tolist()
-    for lo in range(0, k, _PACK_ROWS):
-        hi = min(lo + _PACK_ROWS, k)
+    for lo in range(0, k, _SCHUR_CHUNK):
+        hi = min(lo + _SCHUR_CHUNK, k)
         for t in range(lo, hi):
             a, z = bounds[t], bounds[t + 1]
             np.matmul(left[a:z].T, right[a:z], out=full[t - lo])
-        np.take(full[: hi - lo].reshape(hi - lo, s * s), cols, axis=1, out=q[lo:hi], mode="clip")
-    return q
+        picked = np.take(full[: hi - lo].reshape(hi - lo, s * s), flat, axis=1)
+        picked *= e.triu_vals
+        out[lo:hi] = np.add.reduceat(picked, e.triu_starts, axis=1)
+    return out
 
 
 def _schur_complement(blocks, coefs, xs, ss, m: int):
     """The Schur complement M[i, j] = <A_i, W A_j W> of the NT direction,
-    summed over the blocks as Q Q^T on the constraints each one touches; also
-    the scaling of every block.  A PSD block's is (G, d) from
-    :func:`_nt_scaling`; a nonnegative block's is (w, d) with
+    summed over the blocks on the constraints each one touches and
+    symmetrized; also the scaling of every block.  A PSD block's is (G, d)
+    from :func:`_nt_scaling`; a nonnegative block's is (w, d) with
     w = sqrt(x / s), the diagonal of W, and d = sqrt(x s).  Raises
     LinAlgError if a PSD block of X or S is not numerically positive
     definite."""
@@ -377,11 +385,7 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
     for blk, e, x, s in zip(blocks, coefs, xs, ss):
         if isinstance(blk, PsdBlock):
             g, d = _nt_scaling(x, s)
-            q = _schur_rows(e, g)
-            diag, upper = q[:, : blk.dim], q[:, blk.dim :]
-            block = upper @ upper.T
-            block *= 2.0
-            block += diag @ diag.T
+            block = _schur_block(e, g @ g.T)
         else:
             g, d = np.sqrt(x / s), np.sqrt(x * s)
             q = np.zeros((e.touched.size, blk.count))
@@ -392,13 +396,16 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
             schur += block
         else:
             schur[np.ix_(e.touched, e.touched)] += block
+    schur = schur + schur.T
+    schur *= 0.5
     return schur, scalings
 
 
 def _factor_schur(m: np.ndarray):
     """Cholesky factor of the Schur complement, with the inverses of its
-    diagonal blocks for :func:`_cholesky_solve`; None on breakdown past the
-    largest regularization.
+    diagonal blocks for :func:`_cholesky_solve`, and the shift it needed (0.0
+    when M factored as it is); None on breakdown past the largest
+    regularization.
 
     On breakdown, M is scaled to unit diagonal, D M D with
     D = diag(M)^(-1/2), and shifted by reg * I with reg escalating: row i of
@@ -424,7 +431,7 @@ def _factor_schur(m: np.ndarray):
             dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
             a = m * np.outer(dsc, dsc) + reg * np.eye(n)
     k = _SUBST_BLOCK
-    return dsc, l, [np.linalg.inv(l[lo : lo + k, lo : lo + k]) for lo in range(0, n, k)]
+    return (dsc, l, [np.linalg.inv(l[lo : lo + k, lo : lo + k]) for lo in range(0, n, k)]), reg
 
 
 def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -547,9 +554,9 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         if stepped is None:
             status = Status.NUMERICAL_FAILURE
             break
-        xs, y, ss, alpha_p, alpha_d, sigma = stepped
+        xs, y, ss, alpha_p, alpha_d, sigma, reg = stepped
         if trace is not None:
-            trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma)
+            trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
 
     return ConicSolution(
         status=status,
@@ -591,12 +598,13 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     the symmetrized complementarity equation at diag(d).  Eliminating dX
     and dS leaves M dy = b + A(G (G^T Rd G - E) G^T).  Step lengths are read
     off the scaled iterate.  Returns the updated (xs, y, ss) with the step
-    lengths and sigma, or None on factorization breakdown."""
+    lengths, sigma and the Schur shift, or None on factorization breakdown."""
     m = len(b)
     schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
-    factor = _factor_schur(schur)
-    if factor is None:
+    factored = _factor_schur(schur)
+    if factored is None:
         return None
+    factor, reg = factored
     psd = [isinstance(blk, PsdBlock) for blk in blocks]
     dmats = [np.diag(d) if p else d for p, (_, d) in zip(psd, scalings)]
     rd_scaled = [_scaled(blk, g, r) for blk, (g, _), r in zip(blocks, scalings, rd)]
@@ -660,4 +668,4 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
         xs_new.append(x + alpha_p * dx)
     y_new = y + alpha_d * dy
     ss_new = [s + alpha_d * d for s, d in zip(ss, ds)]
-    return xs_new, y_new, ss_new, alpha_p, alpha_d, sigma
+    return xs_new, y_new, ss_new, alpha_p, alpha_d, sigma, reg

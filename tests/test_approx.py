@@ -194,8 +194,9 @@ class TestBestApproximation:
 # dense_polynomial(default_rng(100 + k), 2, 2d) for k = 0..5, d = 5..11.
 # With the HKM search direction, which the solver used before the
 # Nesterov-Todd one, 16 of the 42 raised SolverFailure, with one BLAS thread
-# and with two.  The bound may fall; it must never rise.
-ENDGAME_CORPUS_MAX_FAILURES = 16
+# and with two; with the Nesterov-Todd direction none does.  The bound may
+# fall; it must never rise.
+ENDGAME_CORPUS_MAX_FAILURES = 0
 
 
 def test_endgame_corpus_failures_do_not_grow():

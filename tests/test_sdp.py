@@ -12,8 +12,9 @@ from l1sos import (
     solve,
     verify,
 )
-from l1sos import sdp
+from l1sos import approx, sdp
 from l1sos.approx import assemble_reduced_dual, motzkin_like
+from l1sos.moment import basis_products
 
 from conftest import dense_polynomial
 
@@ -120,8 +121,26 @@ class TestIterateInvariants:
             assert 0.0 < stats.alpha_p <= 1.0
             assert 0.0 < stats.alpha_d <= 1.0
             assert 0.0 <= stats.sigma <= 1.0
-        assert np.isnan([last.alpha_p, last.alpha_d, last.sigma]).all()
+        assert np.isnan([last.alpha_p, last.alpha_d, last.sigma, last.reg]).all()
         assert solve(problem).trace is None
+
+    def test_schur_shift_in_trace(self):
+        problem = assemble_reduced_dual(dense_polynomial(np.random.default_rng(0), 3, 6), 3)
+        sol = solve(problem, SolverOptions(trace=True))
+        assert sol.status is Status.OPTIMAL
+        *steps, last = sol.trace
+        assert steps
+        assert all(stats.reg == 0.0 for stats in steps)
+        assert np.isnan(last.reg)
+        assert solve(problem).trace is None
+
+    def test_factor_schur_reports_shift(self):
+        assert sdp._factor_schur(np.eye(3))[1] == 0.0
+        # Indefinite by 1e-13 after scaling to unit diagonal: the first shift
+        # repairs it.
+        almost = np.array([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
+        assert sdp._factor_schur(almost)[1] == sdp._REG_INITIAL
+        assert sdp._factor_schur(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
     def test_solution_blocks_psd(self):
         sol = solve(assemble_reduced_dual(motzkin_like(), 4))
@@ -309,7 +328,10 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-STORED = ("con", "rows", "cols", "vals", "touched", "slot", "bounds")
+STORED = (
+    "con", "rows", "cols", "vals", "touched", "slot", "bounds",
+    "triu_rows", "triu_cols", "triu_vals", "triu_starts",
+)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,6 +367,17 @@ class TestEntries:
             assert np.array_equal(np.lexsort(key[::-1]), np.arange(e.con.size))
             assert np.array_equal(e.touched[e.slot], e.con)
             assert np.array_equal(np.repeat(e.touched, np.diff(e.bounds)), e.con)
+            # The upper triangle, off-diagonal values doubled, reads every
+            # symmetric Y as the full entry list does.
+            assert np.all(e.triu_rows <= e.triu_cols)
+            y = rng.standard_normal((problem.m, dense.shape[-1]))
+            y = np.stack([np.diag(row) for row in y]) if dense.ndim == 2 else y[:, :, None] + y[:, None, :]
+            pick = y[e.con, e.rows, e.cols] if dense.ndim == 3 else y[e.con, e.rows, e.rows]
+            full = np.bincount(e.con, weights=e.vals * pick, minlength=problem.m)
+            triu_con = np.repeat(e.touched, np.diff(np.append(e.triu_starts, e.triu_rows.size)))
+            pick = y[triu_con, e.triu_rows, e.triu_cols]
+            upper = np.bincount(triu_con, weights=e.triu_vals * pick, minlength=problem.m)
+            assert rel_diff(upper, full) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -387,18 +420,73 @@ class TestKernels:
         coefs = problem.coefs
         xs, ss = random_interior(rng, problem)
         schur = sdp._schur_complement(problem.blocks, coefs, xs, ss, problem.m)[0]
-        ref = np.zeros((problem.m, problem.m))
-        for a, x, s in zip(dense_reference(problem, raw), xs, ss):
-            if a.ndim == 3:
-                # M[i, j] = <A_i, W A_j W> at the NT scaling point W S W = X.
-                g = sdp._nt_scaling(x, s)[0]
-                w = g @ g.T
-                ref += np.einsum("ipq,qr,jrs,sp->ij", a, w, a, w)
-            else:
-                ref += (a * (x / s)) @ a.T
+        ref = schur_reference(problem.blocks, dense_reference(problem, raw), xs, ss)
         assert rel_diff(schur, ref) <= 1e-13
         eigs = np.linalg.eigvalsh(schur)
         assert eigs[0] >= -1e-12 * eigs[-1]
+
+        # A PSD block that no constraint touches adds nothing.
+        untouched = ConicProblem(
+            problem.blocks + (PsdBlock(3),),
+            problem.c + (np.zeros((3, 3)),),
+            coefs + (Entries([], [], [], []),),
+            problem.b,
+        )
+        xs, ss = random_interior(rng, untouched)
+        schur = sdp._schur_complement(untouched.blocks, untouched.coefs, xs, ss, untouched.m)[0]
+        ref = schur_reference(problem.blocks, dense_reference(problem, raw), xs, ss)
+        assert rel_diff(schur, ref) <= 1e-13
+
+
+def schur_reference(blocks, dense, xs, ss):
+    """M[i, j] = <A_i, W A_j W> at the NT scaling point W S W = X by dense
+    einsums, over the blocks of ``dense``."""
+    m = dense[0].shape[0]
+    ref = np.zeros((m, m))
+    for blk, a, x, s in zip(blocks, dense, xs, ss):
+        if isinstance(blk, PsdBlock):
+            g = sdp._nt_scaling(x, s)[0]
+            w = g @ g.T
+            ref += np.einsum("ipq,qr,jrs,sp->ij", a, w, a, w, optimize=True)
+        else:
+            ref += (a * (x / s)) @ a.T
+    return ref
+
+
+def motzkin_blocks():
+    """The sign-symmetry block program of Motzkin-like at d = 7, as the
+    approximation solves it."""
+    f = motzkin_like()
+    bp = basis_products(f.n, 7)
+    return approx._assemble_moment_side(f, bp, approx._sign_partition(f, bp), f.n + 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: assemble_reduced_dual(dense_polynomial(np.random.default_rng(0), 3, 6), 3),
+     motzkin_blocks],
+    ids=["dense-3-3", "motzkin-7"],
+)
+def test_schur_complement_at_late_iterates(make):
+    # The iterate before the last one, where W is badly conditioned and the
+    # diagonal of M spans many orders of magnitude: every entry must still
+    # match to roundoff of its Cauchy-Schwarz bound.
+    problem = make()
+    n = solve(problem).iterations
+    sol = solve(problem, SolverOptions(max_iter=n - 1))
+    dense = []
+    for blk, e in zip(problem.blocks, problem.coefs):
+        if isinstance(blk, PsdBlock):
+            a = np.zeros((problem.m, blk.dim, blk.dim))
+            np.add.at(a, (e.con, e.rows, e.cols), e.vals)
+        else:
+            a = np.zeros((problem.m, blk.count))
+            np.add.at(a, (e.con, e.rows), e.vals)
+        dense.append(a)
+    schur = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
+    ref = schur_reference(problem.blocks, dense, sol.primal, sol.slack)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(schur - ref) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("n,d,seed", [(3, 5, 0), (3, 5, 1), (4, 4, 0), (4, 4, 1)])
