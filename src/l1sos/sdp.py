@@ -23,13 +23,14 @@ complement M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
 (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997), using the
 per-constraint sparsity: W A_j W is one small product over constraint j's
 entries, and column j of M is read off it at the upper-triangle entries of
-every constraint, summed by label in one reduction.  M is symmetrized once;
-it is positive semidefinite only up to roundoff.  M gets a dense Cholesky
-factorization, solved by blocked substitution; on breakdown each row is
-shifted by an escalating multiple of its own diagonal entry, and the shift
-is reported.  Only numpy is needed.  Everything is deterministic: a fixed
-scale-aware starting point and no randomized pivoting, so identical inputs
-produce identical iterate sequences.
+the constraints i >= j, summed by constraint in one reduction, and mirrored
+into row j.  M is exactly symmetric but positive semidefinite only up to
+roundoff.  M gets a dense Cholesky factorization, solved by blocked
+substitution; on breakdown each row is shifted by an escalating multiple of
+its own diagonal entry, and the shift is reported.  Only numpy is needed.
+Everything is deterministic: a fixed scale-aware starting point and no
+randomized pivoting, so identical inputs produce identical iterate
+sequences.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -350,14 +351,17 @@ _SCHUR_CHUNK = 16
 def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     """M[i, j] = <A_i, W A_j W> on a PSD block's touched constraints, by the F3
     formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
-    of v W[:, p] W[q, :], and row j of the result sums v (W A_j W)[p, q] over
-    the upper-triangle entries of each constraint i, W A_j W being symmetric.
-    Symmetric only up to roundoff."""
+    of v W[:, p] W[q, :], and M[i, j] for i >= j sums v (W A_j W)[p, q] over
+    the upper-triangle entries of constraint i, W A_j W being symmetric.
+    Rows j are taken _SCHUR_CHUNK at a time and mirrored into the columns;
+    where two rows of a chunk meet, the two values are averaged, so the
+    result is exactly symmetric."""
     s = w.shape[0]
     k = e.touched.size
     left = w[e.rows] * e.vals[:, None]
     right = w[e.cols]
     flat = e.triu_rows * s + e.triu_cols
+    starts = e.triu_starts
     out = np.empty((k, k))
     full = np.empty((min(k, _SCHUR_CHUNK), s, s))
     bounds = e.bounds.tolist()
@@ -366,16 +370,22 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
         for t in range(lo, hi):
             a, z = bounds[t], bounds[t + 1]
             np.matmul(left[a:z].T, right[a:z], out=full[t - lo])
-        picked = np.take(full[: hi - lo].reshape(hi - lo, s * s), flat, axis=1)
-        picked *= e.triu_vals
-        out[lo:hi] = np.add.reduceat(picked, e.triu_starts, axis=1)
+        # Constraints lo.. own the entries from starts[lo] on.
+        first = starts[lo]
+        picked = np.take(full[: hi - lo].reshape(hi - lo, s * s), flat[first:], axis=1)
+        picked *= e.triu_vals[first:]
+        rows = np.add.reduceat(picked, starts[lo:] - first, axis=1)
+        out[lo:hi, lo:] = rows
+        out[lo:, lo:hi] = rows.T
+        tile = rows[:, : hi - lo]
+        out[lo:hi, lo:hi] = 0.5 * (tile + tile.T)
     return out
 
 
 def _schur_complement(blocks, coefs, xs, ss, m: int):
     """The Schur complement M[i, j] = <A_i, W A_j W> of the NT direction,
-    summed over the blocks on the constraints each one touches and
-    symmetrized; also the scaling of every block.  A PSD block's is (G, d)
+    summed over the blocks on the constraints each one touches, exactly
+    symmetric; also the scaling of every block.  A PSD block's is (G, d)
     from :func:`_nt_scaling`; a nonnegative block's is (w, d) with
     w = sqrt(x / s), the diagonal of W, and d = sqrt(x s).  Raises
     LinAlgError if a PSD block of X or S is not numerically positive
@@ -396,8 +406,6 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
             schur += block
         else:
             schur[np.ix_(e.touched, e.touched)] += block
-    schur = schur + schur.T
-    schur *= 0.5
     return schur, scalings
 
 

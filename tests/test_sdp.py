@@ -422,6 +422,7 @@ class TestKernels:
         schur = sdp._schur_complement(problem.blocks, coefs, xs, ss, problem.m)[0]
         ref = schur_reference(problem.blocks, dense_reference(problem, raw), xs, ss)
         assert rel_diff(schur, ref) <= 1e-13
+        assert np.array_equal(schur, schur.T)
         eigs = np.linalg.eigvalsh(schur)
         assert eigs[0] >= -1e-12 * eigs[-1]
 
@@ -484,6 +485,7 @@ def test_schur_complement_at_late_iterates(make):
             np.add.at(a, (e.con, e.rows), e.vals)
         dense.append(a)
     schur = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
+    assert np.array_equal(schur, schur.T)
     ref = schur_reference(problem.blocks, dense, sol.primal, sol.slack)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(schur - ref) <= 1e-12 * scale)
