@@ -344,7 +344,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 
 # W A_j W is formed for this many constraints j at a time before their
-# columns of M are read off, so the products are never all held.
+# entries of M are read off, so the products are never all held.
 _SCHUR_CHUNK = 16
 
 
@@ -370,7 +370,8 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
         for t in range(lo, hi):
             a, z = bounds[t], bounds[t + 1]
             np.matmul(left[a:z].T, right[a:z], out=full[t - lo])
-        # Constraints lo.. own the entries from starts[lo] on.
+        # Entries are sorted by constraint: those of lo and later start at
+        # starts[lo].
         first = starts[lo]
         picked = np.take(full[: hi - lo].reshape(hi - lo, s * s), flat[first:], axis=1)
         picked *= e.triu_vals[first:]

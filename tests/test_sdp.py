@@ -367,17 +367,13 @@ class TestEntries:
             assert np.array_equal(np.lexsort(key[::-1]), np.arange(e.con.size))
             assert np.array_equal(e.touched[e.slot], e.con)
             assert np.array_equal(np.repeat(e.touched, np.diff(e.bounds)), e.con)
-            # The upper triangle, off-diagonal values doubled, reads every
-            # symmetric Y as the full entry list does.
-            assert np.all(e.triu_rows <= e.triu_cols)
-            y = rng.standard_normal((problem.m, dense.shape[-1]))
-            y = np.stack([np.diag(row) for row in y]) if dense.ndim == 2 else y[:, :, None] + y[:, None, :]
-            pick = y[e.con, e.rows, e.cols] if dense.ndim == 3 else y[e.con, e.rows, e.rows]
-            full = np.bincount(e.con, weights=e.vals * pick, minlength=problem.m)
+            # The upper triangle with off-diagonal values doubled, grouped by
+            # constraint.
             triu_con = np.repeat(e.touched, np.diff(np.append(e.triu_starts, e.triu_rows.size)))
-            pick = y[triu_con, e.triu_rows, e.triu_cols]
-            upper = np.bincount(triu_con, weights=e.triu_vals * pick, minlength=problem.m)
-            assert rel_diff(upper, full) <= 1e-13
+            upper = np.zeros_like(ref)
+            np.add.at(upper, (triu_con, e.triu_rows, e.triu_cols)[: ref.ndim], e.triu_vals)
+            want = np.triu(ref) + np.triu(ref, 1) if ref.ndim == 3 else ref
+            assert rel_diff(upper, want) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -476,13 +472,9 @@ def test_schur_complement_at_late_iterates(make):
     n = solve(problem).iterations
     sol = solve(problem, SolverOptions(max_iter=n - 1))
     dense = []
-    for blk, e in zip(problem.blocks, problem.coefs):
-        if isinstance(blk, PsdBlock):
-            a = np.zeros((problem.m, blk.dim, blk.dim))
-            np.add.at(a, (e.con, e.rows, e.cols), e.vals)
-        else:
-            a = np.zeros((problem.m, blk.count))
-            np.add.at(a, (e.con, e.rows), e.vals)
+    for x, e in zip(sol.primal, problem.coefs):
+        a = np.zeros((problem.m,) + x.shape)
+        np.add.at(a, (e.con, e.rows, e.cols)[: a.ndim], e.vals)
         dense.append(a)
     schur = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
     assert np.array_equal(schur, schur.T)
