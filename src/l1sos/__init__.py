@@ -53,6 +53,7 @@ from .sdp import (
     PsdBlock,
     SolverOptions,
     Status,
+    StopReason,
     solve,
 )
 
@@ -76,6 +77,7 @@ __all__ = [
     "SosCertificate",
     "SosRefutation",
     "Status",
+    "StopReason",
     "VerificationReport",
     "assemble_full_form",
     "assemble_reduced_dual",

@@ -49,6 +49,7 @@ from .sdp import (
     PsdBlock,
     SolverOptions,
     Status,
+    StopReason,
     solve,
 )
 
@@ -95,7 +96,9 @@ class SosRefutation:
     largest corner moment 1, and the bounded program's optimal moment
     vector only when the ray fails :func:`verify`'s witness checks.  Either
     way the corner moments are at most 1, so -value / ||g||_1 is a lower
-    bound on rho_{d0}(g / ||g||_1)."""
+    bound on rho_{d0}(g / ||g||_1).  The ray is the first one the solve
+    meets, not the best, so the bound can be loose: on Motzkin-like it is
+    0.0087 / ||g||_1 against rho_{d0}(g / ||g||_1) = 0.0162 / ||g||_1."""
 
     witness: MomentVector
     value: float
@@ -112,6 +115,7 @@ class SolverReport:
     gap: float
     feas_primal: float
     feas_dual: float
+    stop_reason: StopReason
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +399,7 @@ def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
     basis2d = enumerate_basis(n, 2 * d)
     s = len(enumerate_basis(n, d))
     cert = SosCertificate((), (), 0.0)
-    report = SolverReport(Status.OPTIMAL, 0, 0.0, 0.0, 0.0)
+    report = SolverReport(Status.OPTIMAL, 0, 0.0, 0.0, 0.0, StopReason.CONVERGED)
     return ApproximationResult(
         lam=np.zeros(n + 1),
         rho=0.0,
@@ -414,6 +418,7 @@ def _report(sol: ConicSolution) -> SolverReport:
         gap=sol.gap,
         feas_primal=sol.feas_primal,
         feas_dual=sol.feas_dual,
+        stop_reason=sol.stop_reason,
     )
 
 
@@ -423,8 +428,8 @@ def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
 
 def _failure_message(sol: ConicSolution) -> str:
     return (
-        f"conic solve ended with status {sol.status.value} after "
-        f"{sol.iterations} iterations (gap={sol.gap:.3e}, "
+        f"conic solve ended with status {sol.status.value}, stopped by "
+        f"{sol.stop_reason.value}, after {sol.iterations} iterations (gap={sol.gap:.3e}, "
         f"feas_primal={sol.feas_primal:.3e}, feas_dual={sol.feas_dual:.3e})"
     )
 
@@ -529,13 +534,16 @@ def is_sos(
     A sum of squares of degree 2e is a sum of squares of polynomials of
     degree <= e (the simplest case of Reznick's Newton-polytope bound), so
     the answer is decided at d0 = max(1, ceil(deg g / 2)) whatever d is.
-    Solves the Gram feasibility program over the degree-d0 basis; a
-    feasible solve yields a certificate by eigendecomposition.  An
-    infeasible one ends on the solver's divergence test with a Farkas ray
-    y = -dual, M_{d0}(y) PSD and L_y(g) < 0.  Scaled to largest corner
-    moment 1, the ray is the witness if it passes :func:`verify`'s witness
-    checks with L_y(g / ||g||_1) < -1e-7; that is a lower bound on the
-    distance of g / ||g||_1 at d0, so the bounded program would refute too.
+    Solves the Gram feasibility program over the degree-d0 basis.  Its
+    objective is zero, so the solve stops at its first exact certificate:
+    an interior feasible Gram matrix after a full primal step, which
+    yields a certificate by eigendecomposition, or a Farkas ray y = -dual
+    after a full dual step, with M_{d0}(y) PSD and L_y(g) < 0; the first
+    such ray is taken, not the best (see :class:`SosRefutation`).  Scaled
+    to largest corner moment 1, the ray is the witness if it passes
+    :func:`verify`'s witness checks with L_y(g / ||g||_1) < -1e-7; that is
+    a lower bound on the distance of g / ||g||_1 at d0, so the bounded
+    program would refute too.
     Any other outcome is settled by the bounded moment-side program at d0:
     distance ~ 0 means g is SOS and supplies the Gram matrix, positive
     distance supplies its optimal moment vector as the witness.  Both

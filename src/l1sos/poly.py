@@ -54,18 +54,15 @@ class Polynomial:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("polynomial needs at least one variable")
-        cleaned: dict[Monomial, float] = {}
-        for mono, coeff in self.terms.items():
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != self.n:
-                raise ValueError(
-                    f"exponent vector {mono} has length {len(mono)}, expected {self.n}"
-                )
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            coeff = float(coeff)
-            if coeff != 0.0:
-                cleaned[mono] = coeff
+        # Checked in bulk; the offending term is looked up only on failure.
+        monos = [tuple(map(int, mono)) for mono in self.terms]
+        if set(map(len, monos)) - {self.n}:
+            mono = next(mono for mono in monos if len(mono) != self.n)
+            raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {self.n}")
+        if monos and min(map(min, monos)) < 0:
+            raise ValueError(f"negative exponent in {next(mono for mono in monos if min(mono) < 0)}")
+        coeffs = map(float, self.terms.values())
+        cleaned = {mono: coeff for mono, coeff in zip(monos, coeffs) if coeff != 0.0}
         object.__setattr__(self, "terms", cleaned)
 
     # -- constructors ------------------------------------------------------

@@ -32,6 +32,14 @@ Everything is deterministic: a fixed scale-aware starting point and no
 randomized pivoting, so identical inputs produce identical iterate
 sequences.
 
+A solve stops when gap, complementarity and both residuals meet their
+tolerances, or when the iterates diverge along an improving ray.  A program
+whose objective is zero in every block, a pure feasibility problem, stops
+earlier, at its first exact certificate: an interior X after a full primal
+step, returned with the optimal dual y = 0, S = 0, or a y after a full
+dual step with S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray
+that proves infeasibility.  Every solution names the rule that ended it.
+
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
 """
@@ -62,6 +70,23 @@ class Status(str, enum.Enum):
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_FAILURE = "numerical_failure"
     INFEASIBLE = "infeasible"
+
+
+class StopReason(str, enum.Enum):
+    """The rule that ended a solve."""
+
+    # Gap, complementarity and both residuals below their tolerances.
+    CONVERGED = "converged"
+    # Zero objective: a feasible interior X after a full primal step.
+    FEASIBLE_POINT = "feasible_point"
+    # Zero objective: S = -A^T(y) after a full dual step, with b'y > 0.
+    FARKAS_RAY = "farkas_ray"
+    # The iterates ran away along an improving ray.
+    DIVERGENCE = "divergence"
+    MAX_ITERATIONS = "max_iterations"
+    NOT_FINITE = "not_finite"
+    # The Schur complement did not factor, or no step could be taken.
+    STEP_FAILED = "step_failed"
 
 
 @dataclass(frozen=True)
@@ -249,11 +274,15 @@ class ConicSolution:
 
     ``status == Status.OPTIMAL`` guarantees the duality gap and both
     feasibility residuals are below the requested tolerances and that every
-    primal and slack block is positive semidefinite up to roundoff.
-    ``Status.INFEASIBLE`` means a divergence heuristic triggered: the
-    iterates blew up along an improving ray (a Farkas-type certificate for
-    primal infeasibility or unboundedness); the final iterate is returned so
-    callers can inspect the certificate direction.
+    primal and slack block is positive semidefinite up to roundoff.  On a
+    zero objective it may stop at a feasible point (``stop_reason`` is
+    ``FEASIBLE_POINT``): X is then interior and y = 0, S = 0, so gap and
+    dual residual are exactly 0.  ``Status.INFEASIBLE`` comes with a
+    Farkas-type certificate, returned as the final iterate: on a zero
+    objective (``FARKAS_RAY``) y has -A^T(y) = S, interior to K up to
+    roundoff, and b'y > 0; otherwise (``DIVERGENCE``) the iterates blew up
+    along an improving ray, which flags primal infeasibility or
+    unboundedness.
     """
 
     status: Status
@@ -266,6 +295,7 @@ class ConicSolution:
     feas_primal: float
     feas_dual: float
     iterations: int
+    stop_reason: StopReason
     trace: tuple[IterationStats, ...] | None = None
 
 
@@ -499,8 +529,15 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     b_scale = 1.0 + float(np.linalg.norm(b))
     c_scale = 1.0 + float(np.sqrt(sum(np.sum(ck * ck) for ck in cs)))
 
+    # With a zero objective every feasible X is optimal, and every y with
+    # -A^T(y) in K and b'y > 0 proves that none exists: the solve ends at the
+    # first iterate that is either one, exactly.  A full step makes its
+    # residual exact to roundoff, and every later one keeps it so.
+    zero_objective = not any(ck.any() for ck in cs)
+    full_p = full_d = False
+
     trace: list[IterationStats] | None = [] if opts.trace else None
-    status = Status.MAX_ITERATIONS
+    status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
     it = 0
     pobj = dobj = gap = feas_p = feas_d = np.nan
 
@@ -527,7 +564,17 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             and np.isfinite(feas_d)
         )
         if not finite:
-            status = Status.NUMERICAL_FAILURE
+            status, reason = Status.NUMERICAL_FAILURE, StopReason.NOT_FINITE
+            break
+
+        if zero_objective and full_p and feas_p <= opts.feas_tol:
+            # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
+            y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
+            dobj = gap = feas_d = 0.0
+            status, reason = Status.OPTIMAL, StopReason.FEASIBLE_POINT
+            break
+        if zero_objective and full_d and dobj > 0.0:
+            status, reason = Status.INFEASIBLE, StopReason.FARKAS_RAY
             break
 
         scale_ref = 1.0 + abs(dobj)
@@ -537,7 +584,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             and feas_p <= opts.feas_tol
             and feas_d <= opts.feas_tol
         ):
-            status = Status.OPTIMAL
+            status, reason = Status.OPTIMAL, StopReason.CONVERGED
             break
 
         # Divergence certificates: the dual (resp. primal) iterate running
@@ -545,15 +592,13 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         # primal infeasibility (resp. unboundedness).
         y_inf = float(np.max(np.abs(y))) if m else 0.0
         x_inf = max(float(np.max(np.abs(x))) for x in xs)
-        if y_inf > _DIVERGENCE_FACTOR * tau and dobj > 1e-8 * y_inf * (1.0 + b_inf):
-            status = Status.INFEASIBLE
-            break
-        if x_inf > _DIVERGENCE_FACTOR * tau and pobj < -1e-8 * x_inf * (1.0 + c_inf):
-            status = Status.INFEASIBLE
+        if (y_inf > _DIVERGENCE_FACTOR * tau and dobj > 1e-8 * y_inf * (1.0 + b_inf)) or (
+            x_inf > _DIVERGENCE_FACTOR * tau and pobj < -1e-8 * x_inf * (1.0 + c_inf)
+        ):
+            status, reason = Status.INFEASIBLE, StopReason.DIVERGENCE
             break
 
         if it == opts.max_iter:
-            status = Status.MAX_ITERATIONS
             break
 
         try:
@@ -561,9 +606,10 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         except np.linalg.LinAlgError:
             stepped = None
         if stepped is None:
-            status = Status.NUMERICAL_FAILURE
+            status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
             break
         xs, y, ss, alpha_p, alpha_d, sigma, reg = stepped
+        full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
         if trace is not None:
             trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
 
@@ -578,6 +624,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         feas_primal=feas_p,
         feas_dual=feas_d,
         iterations=it,
+        stop_reason=reason,
         trace=tuple(trace) if trace is not None else None,
     )
 

@@ -11,6 +11,7 @@ from l1sos import (
     SosCertificate,
     SosRefutation,
     Status,
+    StopReason,
     assemble_full_form,
     assemble_reduced_dual,
     basis_products,
@@ -158,6 +159,10 @@ class TestBestApproximation:
             entry(motzkin, 3, options=SolverOptions(max_iter=2))
         assert err.value.solution is not None
         assert "max_iterations" in str(err.value)
+        assert err.value.solution.stop_reason is StopReason.MAX_ITERATIONS
+
+    def test_report_names_stop_reason(self, motzkin):
+        assert best_l1_sos_approximation(motzkin, 3).solver.stop_reason is StopReason.CONVERGED
 
     def test_condition_warning(self):
         f = 1e8 * x_(1, 0) ** 2
@@ -348,6 +353,47 @@ class TestFarkasRayRefutation:
         assert isinstance(ref, SosRefutation)
         assert np.array_equal(ref.witness.values, bounded.y_star.values)
         assert ref.value == riesz(bounded.y_star, motzkin)
+
+
+class TestMembershipExits:
+    """The membership program has a zero objective, so its solve ends at the
+    first exact certificate: a feasible Gram iterate or a Farkas ray."""
+
+    def solves(self, monkeypatch):
+        sols = []
+        counting_solves(monkeypatch, sols.append)
+        return sols
+
+    def test_strictly_sos_ends_at_feasible_point(self, monkeypatch):
+        sols = self.solves(monkeypatch)
+        g = random_sos(np.random.default_rng(31), 3, 2)
+        cert = is_sos(g, 2)
+        assert [(sol.status, sol.stop_reason) for sol in sols] == [
+            (Status.OPTIMAL, StopReason.FEASIBLE_POINT)
+        ]
+        assert sols[0].iterations <= 4
+        assert verify(cert, g, 2).all_passed
+
+    def test_motzkin_ends_at_farkas_ray(self, monkeypatch, motzkin):
+        sols = self.solves(monkeypatch)
+        ref = is_sos(motzkin, 3)
+        assert [(sol.status, sol.stop_reason) for sol in sols] == [
+            (Status.INFEASIBLE, StopReason.FARKAS_RAY)
+        ]
+        assert sols[0].iterations <= 5
+        assert verify(ref, motzkin, 3).all_passed
+
+    @pytest.mark.parametrize("t", [0.5, 0.9, 0.99, 0.999, 0.9999, 1.001, 1.01])
+    def test_near_sos_decided_in_one_solve(self, monkeypatch, motzkin, t):
+        # Motzkin-like + t eps (1 + x1^6 + x2^6), eps its uniform perturbation
+        # at d = 3: SOS exactly when t >= 1.
+        eps = uniform_sos_perturbation(motzkin, 3)[0]
+        g = motzkin + t * eps * (1.0 + x_(2, 0) ** 6 + x_(2, 1) ** 6)
+        sols = self.solves(monkeypatch)
+        answer = is_sos(g, 3)
+        assert len(sols) == 1
+        assert answer.is_sos == (t > 1.0)
+        assert verify(answer, g, 3).all_passed
 
 
 class TestVerifySosAnswers:

@@ -8,6 +8,7 @@ from l1sos import (
     PsdBlock,
     SolverOptions,
     Status,
+    StopReason,
     best_l1_sos_approximation,
     solve,
     verify,
@@ -87,6 +88,7 @@ class TestMicroProblems:
     def test_gap_certificate(self, factory):
         sol = solve(factory())
         assert sol.status is Status.OPTIMAL
+        assert sol.stop_reason is StopReason.CONVERGED
         assert sol.gap <= 1e-8 * (1.0 + abs(sol.dual_objective))
         assert sol.feas_primal <= 1e-8
         assert sol.feas_dual <= 1e-8
@@ -153,15 +155,25 @@ class TestIterateInvariants:
                     assert blk.min() >= -1e-8 * (1.0 + blk.sum())
 
 
+def assert_farkas_ray(problem, sol):
+    """-A^T(y) lies in the cone to roundoff and b'y > 0: no X >= 0 has
+    A(X) = b."""
+    assert sol.dual_objective == problem.b @ sol.dual > 0.0
+    for blk, at in zip(problem.blocks, sdp._apply_at(problem.coefs, problem.blocks, sol.dual)):
+        low = np.linalg.eigvalsh(-at)[0] if isinstance(blk, PsdBlock) else (-at).min()
+        assert low >= -1e-14 * np.abs(at).max()
+
+
 class TestStatuses:
     def test_max_iterations(self):
         sol = solve(min_trace_cross(), SolverOptions(max_iter=2))
         assert sol.status is Status.MAX_ITERATIONS
+        assert sol.stop_reason is StopReason.MAX_ITERATIONS
         assert sol.iterations == 2
 
     def test_infeasible_lp(self):
-        # x = -1 with x >= 0 has no feasible point; the dual objective
-        # diverges along a certificate ray.
+        # x = -1 with x >= 0 has no feasible point; the first full dual
+        # step lands on a certificate ray.
         problem = ConicProblem(
             blocks=(NonNegBlock(1),),
             c=(np.zeros(1),),
@@ -170,6 +182,8 @@ class TestStatuses:
         )
         sol = solve(problem)
         assert sol.status is Status.INFEASIBLE
+        assert sol.stop_reason is StopReason.FARKAS_RAY
+        assert_farkas_ray(problem, sol)
 
     def test_infeasible_psd(self):
         # diag entries must sum to -1 while X is PSD: impossible.
@@ -181,6 +195,65 @@ class TestStatuses:
         )
         sol = solve(problem)
         assert sol.status is Status.INFEASIBLE
+        assert sol.stop_reason is StopReason.FARKAS_RAY
+        assert_farkas_ray(problem, sol)
+
+    def test_feasible_point(self):
+        # Zero objective: every feasible X is optimal with y = 0, S = 0.  The
+        # solve ends at the first iterate after a full primal step.
+        problem = ConicProblem(
+            blocks=(PsdBlock(3), NonNegBlock(2)),
+            c=(np.zeros((3, 3)), np.zeros(2)),
+            coefs=(
+                Entries([0, 1, 2, 3], [0, 1, 2, 0], [0, 1, 2, 1], [1.0, 1.0, 1.0, 1.0]),
+                Entries([3, 4], [0, 1], [0, 1], [1.0, -2.0]),
+            ),
+            b=[1.0, 2.0, 3.0, 0.5, -1.0],
+        )
+        sol = solve(problem)
+        assert sol.status is Status.OPTIMAL
+        assert sol.stop_reason is StopReason.FEASIBLE_POINT
+        assert np.array_equal(sol.dual, np.zeros(problem.m))
+        assert all(not s.any() for s in sol.slack)
+        assert sol.gap == sol.dual_objective == sol.primal_objective == 0.0
+        assert sol.feas_dual == 0.0
+        assert np.linalg.eigvalsh(sol.primal[0])[0] > 0.0
+        assert sol.primal[1].min() > 0.0
+        assert np.abs(sdp._apply_a(problem.coefs, sol.primal, problem.m) - problem.b).max() <= 1e-12
+
+    def test_nonzero_objective_diverges(self):
+        # min x s.t. x = -1, x >= 0: infeasible, but the objective is not
+        # zero, so only the divergence test ends the solve.
+        problem = ConicProblem(
+            blocks=(NonNegBlock(1),),
+            c=(np.ones(1),),
+            coefs=(Entries([0], [0], [0], [1.0]),),
+            b=[-1.0],
+        )
+        sol = solve(problem)
+        assert sol.status is Status.INFEASIBLE
+        assert sol.stop_reason is StopReason.DIVERGENCE
+
+    def test_not_finite(self):
+        # The starting point's complementarity tau^2 overflows.
+        problem = ConicProblem(
+            blocks=(NonNegBlock(1),),
+            c=(np.ones(1),),
+            coefs=(Entries([0], [0], [0], [1.0]),),
+            b=[1e300],
+        )
+        with np.errstate(over="ignore"):
+            sol = solve(problem)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.stop_reason is StopReason.NOT_FINITE
+        assert sol.iterations == 0
+
+    def test_step_failed(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_factor_schur", lambda m: None)
+        sol = solve(min_trace_cross())
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.stop_reason is StopReason.STEP_FAILED
+        assert sol.iterations == 0
 
 
 class TestValidation:
