@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,8 +60,12 @@ import numpy as np
 _DIVERGENCE_FACTOR = 1e8
 _REG_INITIAL = 1e-12
 _REG_MAX = 1e-6
-# Block size of the substitution in the Schur solve.
+# Block size of the Cholesky factorization and substitution of the Schur
+# complement.
 _SUBST_BLOCK = 64
+# W A_j W is formed for this many constraints j at a time before their
+# entries of M are read off, so the products are never all held.
+_SCHUR_CHUNK = 16
 # Share of the distance to the cone boundary that a step may cover.
 _STEP_FRACTION = 0.98
 
@@ -118,6 +123,13 @@ class Entries:
     The ``triu_*`` fields keep the entries with row <= column in the same
     order, off-diagonal values doubled, so <A_i, Y> for a symmetric Y sums
     over them alone; those of ``touched[t]`` start at ``triu_starts[t]``.
+
+    The ``chunk_*`` fields hold the entries again, the touched constraints
+    taken _SCHUR_CHUNK at a time: chunk c is a (constraints, width) array
+    flattened, one row per constraint, ``chunk_widths[c]`` the most entries
+    any of its constraints has.  Each row keeps its constraint's entries in
+    order and is padded with (0, 0, 0.0), so a chunk's W A_j W are one
+    stacked product.
     """
 
     con: np.ndarray
@@ -131,6 +143,10 @@ class Entries:
     triu_cols: np.ndarray = field(init=False)
     triu_vals: np.ndarray = field(init=False)
     triu_starts: np.ndarray = field(init=False)
+    chunk_rows: np.ndarray = field(init=False)
+    chunk_cols: np.ndarray = field(init=False)
+    chunk_vals: np.ndarray = field(init=False)
+    chunk_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         con, rows, cols = (np.asarray(a, dtype=int) for a in (self.con, self.rows, self.cols))
@@ -153,18 +169,38 @@ class Entries:
         new[1:] = np.any(np.diff([con, rows, cols]) != 0, axis=0)
         vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
         con, rows, cols = con[new], rows[new], cols[new]
-        first = np.diff(con, prepend=-1) != 0
+        first = np.diff(con, prepend=con[:1] - 1) != 0
         # Every constraint keeps an entry here: each one below the diagonal
         # has its mirror above it.
         up = rows <= cols
-        triu_first = np.diff(con[up], prepend=-1) != 0
+        triu_first = np.diff(con[up], prepend=con[up][:1] - 1) != 0
+        slot = np.cumsum(first) - 1
+        bounds = np.append(np.flatnonzero(first), con.size)
+        # Entry e of touched[t] goes to chunk t // _SCHUR_CHUNK, at row
+        # t % _SCHUR_CHUNK and column e - bounds[t].
+        counts = np.diff(bounds)
+        los = np.arange(0, counts.size, _SCHUR_CHUNK)
+        widths = np.maximum.reduceat(counts, los)
+        sizes = np.diff(np.append(los, counts.size)) * widths
+        chunk = slot // _SCHUR_CHUNK
+        at = (
+            (np.cumsum(sizes) - sizes)[chunk]
+            + slot % _SCHUR_CHUNK * widths[chunk]
+            + np.arange(con.size) - bounds[slot]
+        )
+        padded = []
+        for a in (rows, cols, vals):
+            pad = np.zeros(sizes.sum(), dtype=a.dtype)
+            pad[at] = a
+            padded.append(pad)
         for name, value in (
             ("con", con), ("rows", rows), ("cols", cols), ("vals", vals),
-            ("touched", con[first]), ("slot", np.cumsum(first) - 1),
-            ("bounds", np.append(np.flatnonzero(first), con.size)),
+            ("touched", con[first]), ("slot", slot), ("bounds", bounds),
             ("triu_rows", rows[up]), ("triu_cols", cols[up]),
             ("triu_vals", np.where(rows == cols, 1.0, 2.0)[up] * vals[up]),
             ("triu_starts", np.flatnonzero(triu_first)),
+            ("chunk_rows", padded[0]), ("chunk_cols", padded[1]),
+            ("chunk_vals", padded[2]), ("chunk_widths", widths),
         ):
             object.__setattr__(self, name, value)
 
@@ -268,6 +304,16 @@ class IterationStats(NamedTuple):
     reg: float = math.nan
 
 
+class PhaseTimes(NamedTuple):
+    """Wall time of one step's phases, in seconds: the Schur build (with the
+    NT scaling), its factorization, and the rest of the step (both
+    directions, the step lengths and the update)."""
+
+    schur: float
+    factor: float
+    step: float
+
+
 @dataclass(eq=False)
 class ConicSolution:
     """Primal/dual iterate returned by :func:`solve`.
@@ -283,6 +329,9 @@ class ConicSolution:
     roundoff, and b'y > 0; otherwise (``DIVERGENCE``) the iterates blew up
     along an improving ray, which flags primal infeasibility or
     unboundedness.
+
+    With ``SolverOptions.trace``, ``trace`` holds one row per iterate and
+    ``phase_times`` one row per step taken from it; both are None otherwise.
     """
 
     status: Status
@@ -297,6 +346,7 @@ class ConicSolution:
     iterations: int
     stop_reason: StopReason
     trace: tuple[IterationStats, ...] | None = None
+    phase_times: tuple[PhaseTimes, ...] | None = None
 
 
 def _apply_a(coefs, xs, m: int) -> np.ndarray:
@@ -373,11 +423,6 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return (lx @ v) / np.sqrt(d), d
 
 
-# W A_j W is formed for this many constraints j at a time before their
-# entries of M are read off, so the products are never all held.
-_SCHUR_CHUNK = 16
-
-
 def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     """M[i, j] = <A_i, W A_j W> on a PSD block's touched constraints, by the F3
     formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
@@ -388,18 +433,17 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     result is exactly symmetric."""
     s = w.shape[0]
     k = e.touched.size
-    left = w[e.rows] * e.vals[:, None]
-    right = w[e.cols]
     flat = e.triu_rows * s + e.triu_cols
     starts = e.triu_starts
     out = np.empty((k, k))
     full = np.empty((min(k, _SCHUR_CHUNK), s, s))
-    bounds = e.bounds.tolist()
-    for lo in range(0, k, _SCHUR_CHUNK):
+    z = 0
+    for lo, width in zip(range(0, k, _SCHUR_CHUNK), e.chunk_widths.tolist()):
         hi = min(lo + _SCHUR_CHUNK, k)
-        for t in range(lo, hi):
-            a, z = bounds[t], bounds[t + 1]
-            np.matmul(left[a:z].T, right[a:z], out=full[t - lo])
+        a, z = z, z + (hi - lo) * width
+        r, c = (idx[a:z].reshape(hi - lo, width) for idx in (e.chunk_rows, e.chunk_cols))
+        v = e.chunk_vals[a:z].reshape(hi - lo, width, 1)
+        np.matmul((w[r] * v).transpose(0, 2, 1), w[c], out=full[: hi - lo])
         # Entries are sorted by constraint: those of lo and later start at
         # starts[lo].
         first = starts[lo]
@@ -440,6 +484,26 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
     return schur, scalings
 
 
+def _blocked_cholesky(a: np.ndarray):
+    """Lower Cholesky factor L of a, left-looking by block columns of
+    _SUBST_BLOCK, with the inverses of its diagonal blocks.  Each block
+    column is updated by one product with the columns left of it, its
+    diagonal block factored and inverted, and the panel below solved by
+    that inverse.  Raises LinAlgError if a diagonal block breaks down."""
+    n = a.shape[0]
+    l = np.zeros_like(a)
+    invs = []
+    for lo in range(0, n, _SUBST_BLOCK):
+        hi = min(lo + _SUBST_BLOCK, n)
+        col = a[lo:, lo:hi] - l[lo:, :lo] @ l[lo:hi, :lo].T
+        diag = np.linalg.cholesky(col[: hi - lo])
+        inv = np.linalg.inv(diag)
+        l[lo:hi, lo:hi] = diag
+        l[hi:, lo:hi] = col[hi - lo :] @ inv.T
+        invs.append(inv)
+    return l, invs
+
+
 def _factor_schur(m: np.ndarray):
     """Cholesky factor of the Schur complement, with the inverses of its
     diagonal blocks for :func:`_cholesky_solve`, and the shift it needed (0.0
@@ -460,7 +524,7 @@ def _factor_schur(m: np.ndarray):
     a, reg = m, 0.0
     while True:
         try:
-            l = np.linalg.cholesky(a)
+            l, invs = _blocked_cholesky(a)
             break
         except np.linalg.LinAlgError:
             reg = _REG_INITIAL if reg == 0.0 else reg * 10.0
@@ -469,8 +533,7 @@ def _factor_schur(m: np.ndarray):
             diag = np.diag(m)
             dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
             a = m * np.outer(dsc, dsc) + reg * np.eye(n)
-    k = _SUBST_BLOCK
-    return (dsc, l, [np.linalg.inv(l[lo : lo + k, lo : lo + k]) for lo in range(0, n, k)]), reg
+    return (dsc, l, invs), reg
 
 
 def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -537,6 +600,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     full_p = full_d = False
 
     trace: list[IterationStats] | None = [] if opts.trace else None
+    phase_times: list[PhaseTimes] | None = [] if opts.trace else None
     status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
     it = 0
     pobj = dobj = gap = feas_p = feas_d = np.nan
@@ -571,6 +635,8 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
             y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
             dobj = gap = feas_d = 0.0
+            if trace is not None:
+                trace[-1] = IterationStats(it, pobj, dobj, gap, 0.0, feas_p, feas_d)
             status, reason = Status.OPTIMAL, StopReason.FEASIBLE_POINT
             break
         if zero_objective and full_d and dobj > 0.0:
@@ -608,10 +674,11 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         if stepped is None:
             status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
             break
-        xs, y, ss, alpha_p, alpha_d, sigma, reg = stepped
+        xs, y, ss, alpha_p, alpha_d, sigma, reg, times = stepped
         full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
         if trace is not None:
             trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
+            phase_times.append(times)
 
     return ConicSolution(
         status=status,
@@ -626,6 +693,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         iterations=it,
         stop_reason=reason,
         trace=tuple(trace) if trace is not None else None,
+        phase_times=tuple(phase_times) if phase_times is not None else None,
     )
 
 
@@ -654,10 +722,14 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     the symmetrized complementarity equation at diag(d).  Eliminating dX
     and dS leaves M dy = b + A(G (G^T Rd G - E) G^T).  Step lengths are read
     off the scaled iterate.  Returns the updated (xs, y, ss) with the step
-    lengths, sigma and the Schur shift, or None on factorization breakdown."""
+    lengths, sigma, the Schur shift and the :class:`PhaseTimes`, or None on
+    factorization breakdown."""
     m = len(b)
+    start = time.perf_counter()
     schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
+    built = time.perf_counter()
     factored = _factor_schur(schur)
+    factored_at = time.perf_counter()
     if factored is None:
         return None
     factor, reg = factored
@@ -724,4 +796,5 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
         xs_new.append(x + alpha_p * dx)
     y_new = y + alpha_d * dy
     ss_new = [s + alpha_d * d for s, d in zip(ss, ds)]
-    return xs_new, y_new, ss_new, alpha_p, alpha_d, sigma, reg
+    times = PhaseTimes(built - start, factored_at - built, time.perf_counter() - factored_at)
+    return xs_new, y_new, ss_new, alpha_p, alpha_d, sigma, reg, times

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,8 @@ from l1sos.approx import assemble_reduced_dual, motzkin_like
 from l1sos.moment import basis_products
 
 from conftest import dense_polynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def lmi_max_y():
@@ -144,6 +151,47 @@ class TestIterateInvariants:
         assert sdp._factor_schur(almost)[1] == sdp._REG_INITIAL
         assert sdp._factor_schur(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 495])
+    def test_factor_schur_solves(self, n):
+        # Sizes on both sides of the block size and across several blocks.
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, 2 * n))
+        m = g @ g.T
+        factor, reg = sdp._factor_schur(m)
+        assert reg == 0.0
+        _, l, invs = factor
+        assert np.array_equal(l, np.tril(l))
+        assert rel_diff(l @ l.T, m) <= 1e-13
+        rhs = rng.standard_normal(n)
+        want = np.linalg.solve(m, rhs)
+        assert np.linalg.norm(sdp._schur_solve(factor, m, rhs) - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_factor_schur_shifts_on_late_breakdown(self):
+        # Unit diagonal, positive definite in its leading 130 x 130 part, and
+        # indefinite by 1e-13 in its last two rows: the breakdown comes in
+        # the last block column, and the first shift repairs it.
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((140, 280))
+        g[-1] = g[-2]
+        m = g @ g.T
+        m /= np.sqrt(np.outer(np.diag(m), np.diag(m)))
+        z = np.zeros(140)
+        z[-2:] = [1.0, -1.0]
+        m -= 0.5e-13 * np.outer(z, z)
+        assert np.linalg.eigvalsh(m[:130, :130])[0] > 0.01
+        assert np.linalg.eigvalsh(m)[0] < 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m)
+        assert sdp._factor_schur(m)[1] == sdp._REG_INITIAL
+
+    def test_phase_times_only_when_tracing(self):
+        problem = assemble_reduced_dual(motzkin_like(), 4)
+        sol = solve(problem, SolverOptions(trace=True))
+        assert len(sol.phase_times) == len(sol.trace) - 1 == sol.iterations
+        for times in sol.phase_times:
+            assert min(times) > 0.0
+        assert solve(problem).phase_times is None
+
     def test_solution_blocks_psd(self):
         sol = solve(assemble_reduced_dual(motzkin_like(), 4))
         for mats in (sol.primal, sol.slack):
@@ -220,6 +268,19 @@ class TestStatuses:
         assert np.linalg.eigvalsh(sol.primal[0])[0] > 0.0
         assert sol.primal[1].min() > 0.0
         assert np.abs(sdp._apply_a(problem.coefs, sol.primal, problem.m) - problem.b).max() <= 1e-12
+
+    def test_feasible_point_trace_ends_at_solution(self):
+        # The last trace row describes the returned y = 0, S = 0, not the
+        # iterate the solve stopped at.
+        bp = basis_products(3, 2)
+        r = np.random.default_rng(3).standard_normal((len(bp.basis),) * 2)
+        g = bp.gram_polynomial(r @ r.T / len(bp.basis))
+        unit = g * (1.0 / g.l1_norm())
+        sol = approx._moment_side_solution(unit, 2, 0, SolverOptions(trace=True))[-1]
+        assert sol.stop_reason is StopReason.FEASIBLE_POINT
+        last = sol.trace[-1]
+        assert last.dual_objective == last.gap == last.mu == last.feas_dual == 0.0
+        assert (last.primal_objective, last.feas_primal) == (sol.primal_objective, sol.feas_primal)
 
     def test_nonzero_objective_diverges(self):
         # min x s.t. x = -1, x >= 0: infeasible, but the objective is not
@@ -404,16 +465,24 @@ def rel_diff(a, b):
 STORED = (
     "con", "rows", "cols", "vals", "touched", "slot", "bounds",
     "triu_rows", "triu_cols", "triu_vals", "triu_starts",
+    "chunk_rows", "chunk_cols", "chunk_vals", "chunk_widths",
+)
+
+# Random programs by seed and constraint count.  With m = 37 the last Schur
+# chunk is partial, and the constraints of each chunk have uneven entry
+# counts, so the chunk rows carry pads.
+PROGRAMS = pytest.mark.parametrize(
+    "seed,m", [(0, 9), (1, 9), (2, 9), (3, 9), (4, 37)], ids=["0", "1", "2", "3", "m37"]
 )
 
 
-@pytest.mark.parametrize("seed", range(4))
+@PROGRAMS
 class TestEntries:
     """The stored form against the raw triples it was built from."""
 
-    def test_order_and_orientation_do_not_matter(self, seed):
+    def test_order_and_orientation_do_not_matter(self, seed, m):
         rng = np.random.default_rng(seed)
-        for con, rows, cols, _ in random_conic_problem(rng)[1]:
+        for con, rows, cols, _ in random_conic_problem(rng, m=m)[1]:
             # Small integers, so the summed repeated entries are exact.
             vals = rng.integers(-3, 4, con.size).astype(float)
             ref = Entries(con, rows, cols, vals)
@@ -426,9 +495,9 @@ class TestEntries:
                 for name in STORED:
                     assert np.array_equal(getattr(other, name), getattr(ref, name)), name
 
-    def test_stored_form(self, seed):
+    def test_stored_form(self, seed, m):
         rng = np.random.default_rng(seed)
-        problem, raw = random_conic_problem(rng)
+        problem, raw = random_conic_problem(rng, m=m)
         for e, ref in zip(problem.coefs, dense_reference(problem, raw)):
             dense = np.zeros_like(ref)
             np.add.at(dense, (e.con, e.rows, e.cols)[: ref.ndim], e.vals)
@@ -447,15 +516,33 @@ class TestEntries:
             np.add.at(upper, (triu_con, e.triu_rows, e.triu_cols)[: ref.ndim], e.triu_vals)
             want = np.triu(ref) + np.triu(ref, 1) if ref.ndim == 3 else ref
             assert rel_diff(upper, want) <= 1e-13
+            # The chunk rows: each constraint's entries in order, then pads
+            # (0, 0, 0.0) up to the chunk's width.
+            counts = np.diff(e.bounds)
+            los = range(0, counts.size, sdp._SCHUR_CHUNK)
+            assert len(los) == e.chunk_widths.size
+            end = 0
+            for lo, width in zip(los, e.chunk_widths):
+                part = counts[lo : lo + sdp._SCHUR_CHUNK]
+                assert width == part.max()
+                start, end = end, end + part.size * width
+                real = np.arange(width) < part[:, None]
+                for padded, flat in zip(
+                    (e.chunk_rows, e.chunk_cols, e.chunk_vals), (e.rows, e.cols, e.vals)
+                ):
+                    rows = padded[start:end].reshape(part.size, width)
+                    assert np.array_equal(rows[real], flat[e.bounds[lo] : e.bounds[lo] + part.sum()])
+                    assert not rows[~real].any()
+            assert end == e.chunk_rows.size == e.chunk_cols.size == e.chunk_vals.size
 
 
-@pytest.mark.parametrize("seed", range(4))
+@PROGRAMS
 class TestKernels:
     """A, A^T and the Schur complement against dense einsums."""
 
-    def test_apply_a_and_transpose(self, seed):
+    def test_apply_a_and_transpose(self, seed, m):
         rng = np.random.default_rng(seed)
-        problem, raw = random_conic_problem(rng)
+        problem, raw = random_conic_problem(rng, m=m)
         coefs = problem.coefs
         dense = dense_reference(problem, raw)
         xs, _ = random_interior(rng, problem)
@@ -470,9 +557,9 @@ class TestKernels:
             if at.ndim == 2:
                 assert np.array_equal(at, at.T)
 
-    def test_nt_scaling_point(self, seed):
+    def test_nt_scaling_point(self, seed, m):
         rng = np.random.default_rng(seed)
-        problem, _ = random_conic_problem(rng)
+        problem, _ = random_conic_problem(rng, m=m)
         xs, ss = random_interior(rng, problem)
         for blk, x, s in zip(problem.blocks, xs, ss):
             if isinstance(blk, PsdBlock):
@@ -483,9 +570,9 @@ class TestKernels:
                 assert rel_diff(g.T @ s @ g, np.diag(d)) <= 1e-12
                 assert d.min() > 0.0
 
-    def test_schur_complement(self, seed):
+    def test_schur_complement(self, seed, m):
         rng = np.random.default_rng(seed)
-        problem, raw = random_conic_problem(rng)
+        problem, raw = random_conic_problem(rng, m=m)
         coefs = problem.coefs
         xs, ss = random_interior(rng, problem)
         schur = sdp._schur_complement(problem.blocks, coefs, xs, ss, problem.m)[0]
@@ -562,3 +649,17 @@ def test_dense_inputs_solve_and_verify(n, d, seed):
     res = best_l1_sos_approximation(f, d)
     report = verify(res, f, d)
     assert report.all_passed, str(report)
+
+
+def test_runtime_needs_numpy_only():
+    # scipy is installed for the tests; the library must not load it.
+    code = (
+        "import sys; import numpy as np; from l1sos import is_sos, motzkin_like, solve;"
+        "from l1sos.approx import assemble_reduced_dual;"
+        "solve(assemble_reduced_dual(motzkin_like(), 3)); is_sos(motzkin_like(), 3);"
+        "print('scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
