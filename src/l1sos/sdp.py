@@ -21,13 +21,16 @@ repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  On each
 PSD block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
 complement M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
 (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997), using the
-per-constraint sparsity: W A_j W is one small product over constraint j's
-entries, and column j of M is read off it at the upper-triangle entries of
-the constraints i >= j, summed by constraint in one reduction, and mirrored
-into row j.  M is exactly symmetric but positive semidefinite only up to
-roundoff.  M gets a dense Cholesky factorization, solved by blocked
-substitution; on breakdown each row is shifted by an escalating multiple of
-its own diagonal entry, and the shift is reported.  Only numpy is needed.
+per-constraint sparsity: W A_j W is a small product over constraint j's
+entries, formed for a chunk of constraints at once by one stacked product
+over their entries padded to equal length, and column j of M is read off it
+at the upper-triangle entries of the constraints i >= j, summed by
+constraint in one reduction, and mirrored into row j.  M is exactly
+symmetric but positive semidefinite only up to roundoff.  M gets a dense
+left-looking blocked Cholesky factorization, one matrix product per block
+column, whose diagonal-block inverses also serve the blocked substitution
+of each solve; on breakdown each row is shifted by an escalating multiple
+of its own diagonal entry, and the shift is reported.  Only numpy is needed.
 Everything is deterministic: a fixed scale-aware starting point and no
 randomized pivoting, so identical inputs produce identical iterate
 sequences.
@@ -116,9 +119,8 @@ class Entries:
 
     Stored as the solver reads them: both triangles, sorted by (constraint,
     row, column), repeated entries summed.  ``touched`` lists the
-    constraints with an entry in the block; entry e belongs to
-    ``touched[slot[e]]``, and the entries of ``touched[t]`` are
-    ``bounds[t]:bounds[t + 1]``.
+    constraints with an entry in the block, and entry e belongs to
+    ``touched[slot[e]]``.
 
     The ``triu_*`` fields keep the entries with row <= column in the same
     order, off-diagonal values doubled, so <A_i, Y> for a symmetric Y sums
@@ -138,7 +140,6 @@ class Entries:
     vals: np.ndarray
     touched: np.ndarray = field(init=False)
     slot: np.ndarray = field(init=False)
-    bounds: np.ndarray = field(init=False)
     triu_rows: np.ndarray = field(init=False)
     triu_cols: np.ndarray = field(init=False)
     triu_vals: np.ndarray = field(init=False)
@@ -176,26 +177,21 @@ class Entries:
         triu_first = np.diff(con[up], prepend=con[up][:1] - 1) != 0
         slot = np.cumsum(first) - 1
         bounds = np.append(np.flatnonzero(first), con.size)
-        # Entry e of touched[t] goes to chunk t // _SCHUR_CHUNK, at row
-        # t % _SCHUR_CHUNK and column e - bounds[t].
+        # The entries of touched[t] are bounds[t]:bounds[t + 1], and its
+        # padded row, as long as every row of its chunk, starts at starts[t].
         counts = np.diff(bounds)
-        los = np.arange(0, counts.size, _SCHUR_CHUNK)
-        widths = np.maximum.reduceat(counts, los)
-        sizes = np.diff(np.append(los, counts.size)) * widths
-        chunk = slot // _SCHUR_CHUNK
-        at = (
-            (np.cumsum(sizes) - sizes)[chunk]
-            + slot % _SCHUR_CHUNK * widths[chunk]
-            + np.arange(con.size) - bounds[slot]
-        )
+        widths = np.maximum.reduceat(counts, np.arange(0, counts.size, _SCHUR_CHUNK))
+        row_widths = np.repeat(widths, _SCHUR_CHUNK)[: counts.size]
+        starts = np.cumsum(row_widths) - row_widths
+        at = starts[slot] + np.arange(con.size) - bounds[slot]
         padded = []
         for a in (rows, cols, vals):
-            pad = np.zeros(sizes.sum(), dtype=a.dtype)
+            pad = np.zeros(row_widths.sum(), dtype=a.dtype)
             pad[at] = a
             padded.append(pad)
         for name, value in (
             ("con", con), ("rows", rows), ("cols", cols), ("vals", vals),
-            ("touched", con[first]), ("slot", slot), ("bounds", bounds),
+            ("touched", con[first]), ("slot", slot),
             ("triu_rows", rows[up]), ("triu_cols", cols[up]),
             ("triu_vals", np.where(rows == cols, 1.0, 2.0)[up] * vals[up]),
             ("triu_starts", np.flatnonzero(triu_first)),
@@ -428,9 +424,10 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
     of v W[:, p] W[q, :], and M[i, j] for i >= j sums v (W A_j W)[p, q] over
     the upper-triangle entries of constraint i, W A_j W being symmetric.
-    Rows j are taken _SCHUR_CHUNK at a time and mirrored into the columns;
-    where two rows of a chunk meet, the two values are averaged, so the
-    result is exactly symmetric."""
+    Rows j are taken _SCHUR_CHUNK at a time, their W A_j W formed by one
+    stacked product over the chunk's padded entries, and mirrored into the
+    columns; where two rows of a chunk meet, the two values are averaged, so
+    the result is exactly symmetric."""
     s = w.shape[0]
     k = e.touched.size
     flat = e.triu_rows * s + e.triu_cols
@@ -442,8 +439,9 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
         hi = min(lo + _SCHUR_CHUNK, k)
         a, z = z, z + (hi - lo) * width
         r, c = (idx[a:z].reshape(hi - lo, width) for idx in (e.chunk_rows, e.chunk_cols))
-        v = e.chunk_vals[a:z].reshape(hi - lo, width, 1)
-        np.matmul((w[r] * v).transpose(0, 2, 1), w[c], out=full[: hi - lo])
+        left = np.take(w, r, axis=0)
+        left *= e.chunk_vals[a:z].reshape(hi - lo, width, 1)
+        np.matmul(left.transpose(0, 2, 1), np.take(w, c, axis=0), out=full[: hi - lo])
         # Entries are sorted by constraint: those of lo and later start at
         # starts[lo].
         first = starts[lo]
@@ -489,7 +487,10 @@ def _blocked_cholesky(a: np.ndarray):
     _SUBST_BLOCK, with the inverses of its diagonal blocks.  Each block
     column is updated by one product with the columns left of it, its
     diagonal block factored and inverted, and the panel below solved by
-    that inverse.  Raises LinAlgError if a diagonal block breaks down."""
+    that inverse, with one round of refinement against the diagonal block:
+    on a badly scaled M the inverse is only accurate to about cond times
+    roundoff, and the refined panel keeps L L^T = a to roundoff of each
+    entry's scale.  Raises LinAlgError if a diagonal block breaks down."""
     n = a.shape[0]
     l = np.zeros_like(a)
     invs = []
@@ -499,7 +500,8 @@ def _blocked_cholesky(a: np.ndarray):
         diag = np.linalg.cholesky(col[: hi - lo])
         inv = np.linalg.inv(diag)
         l[lo:hi, lo:hi] = diag
-        l[hi:, lo:hi] = col[hi - lo :] @ inv.T
+        panel = col[hi - lo :] @ inv.T
+        l[hi:, lo:hi] = panel + (col[hi - lo :] - panel @ diag.T) @ inv.T
         invs.append(inv)
     return l, invs
 

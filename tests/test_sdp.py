@@ -463,7 +463,7 @@ def rel_diff(a, b):
 
 
 STORED = (
-    "con", "rows", "cols", "vals", "touched", "slot", "bounds",
+    "con", "rows", "cols", "vals", "touched", "slot",
     "triu_rows", "triu_cols", "triu_vals", "triu_starts",
     "chunk_rows", "chunk_cols", "chunk_vals", "chunk_widths",
 )
@@ -508,7 +508,7 @@ class TestEntries:
             assert np.all(np.any(np.diff(key) != 0, axis=0))
             assert np.array_equal(np.lexsort(key[::-1]), np.arange(e.con.size))
             assert np.array_equal(e.touched[e.slot], e.con)
-            assert np.array_equal(np.repeat(e.touched, np.diff(e.bounds)), e.con)
+            assert np.all(np.diff(e.slot) >= 0)
             # The upper triangle with off-diagonal values doubled, grouped by
             # constraint.
             triu_con = np.repeat(e.touched, np.diff(np.append(e.triu_starts, e.triu_rows.size)))
@@ -518,7 +518,8 @@ class TestEntries:
             assert rel_diff(upper, want) <= 1e-13
             # The chunk rows: each constraint's entries in order, then pads
             # (0, 0, 0.0) up to the chunk's width.
-            counts = np.diff(e.bounds)
+            counts = np.bincount(e.slot, minlength=e.touched.size)
+            starts = np.cumsum(counts) - counts
             los = range(0, counts.size, sdp._SCHUR_CHUNK)
             assert len(los) == e.chunk_widths.size
             end = 0
@@ -531,7 +532,7 @@ class TestEntries:
                     (e.chunk_rows, e.chunk_cols, e.chunk_vals), (e.rows, e.cols, e.vals)
                 ):
                     rows = padded[start:end].reshape(part.size, width)
-                    assert np.array_equal(rows[real], flat[e.bounds[lo] : e.bounds[lo] + part.sum()])
+                    assert np.array_equal(rows[real], flat[starts[lo] : starts[lo] + part.sum()])
                     assert not rows[~real].any()
             assert end == e.chunk_rows.size == e.chunk_cols.size == e.chunk_vals.size
 
@@ -641,6 +642,29 @@ def test_schur_complement_at_late_iterates(make):
     ref = schur_reference(problem.blocks, dense, sol.primal, sol.slack)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(schur - ref) <= 1e-12 * scale)
+
+
+def test_blocked_cholesky_at_late_iterates():
+    # Late in a Motzkin-like solve at d = 11 (78 constraints, two block
+    # columns) the diagonal of M spans 1e13 to 1e17 and the diagonal blocks
+    # are so ill-conditioned that their inverses are accurate only to about
+    # 1e-8; a panel multiplied by the inverse alone left L L^T off M by up
+    # to 1e-10 of sqrt(M_ii M_jj).  The refined panel keeps roundoff.
+    f = motzkin_like()
+    bp = basis_products(f.n, 11)
+    problem = approx._assemble_moment_side(f, bp, approx._sign_partition(f, bp), f.n + 1)
+    checked = 0
+    for it in range(10, solve(problem).iterations):
+        sol = solve(problem, SolverOptions(max_iter=it))
+        m = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
+        try:
+            l, invs = sdp._blocked_cholesky(m)
+        except np.linalg.LinAlgError:
+            continue
+        scale = np.sqrt(np.outer(np.diag(m), np.diag(m)))
+        assert np.max(np.abs(l @ l.T - m) / scale) <= 1e-14
+        checked += 1
+    assert checked >= 3
 
 
 @pytest.mark.parametrize("n,d,seed", [(3, 5, 0), (3, 5, 1), (4, 4, 0), (4, 4, 1)])

@@ -90,7 +90,7 @@ class TestDenseInputIsUnchanged:
         assert np.array_equal(reduced.b, reference.b)
         assert reduced.m == reference.m
         for e, ref in zip(reduced.coefs, reference.coefs, strict=True):
-            for name in ("con", "rows", "cols", "vals", "touched", "slot", "bounds"):
+            for name in ("con", "rows", "cols", "vals", "touched", "slot"):
                 assert np.array_equal(getattr(e, name), getattr(ref, name))
 
 
