@@ -174,7 +174,7 @@ class Entries:
         # Every constraint keeps an entry here: each one below the diagonal
         # has its mirror above it.
         up = rows <= cols
-        triu_first = np.diff(con[up], prepend=con[up][:1] - 1) != 0
+        triu_first = np.diff(con[up], prepend=-1) != 0
         slot = np.cumsum(first) - 1
         bounds = np.append(np.flatnonzero(first), con.size)
         # The entries of touched[t] are bounds[t]:bounds[t + 1], and its
