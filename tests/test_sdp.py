@@ -658,7 +658,7 @@ def test_blocked_cholesky_at_late_iterates():
         sol = solve(problem, SolverOptions(max_iter=it))
         m = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
         try:
-            l, invs = sdp._blocked_cholesky(m)
+            l = sdp._blocked_cholesky(m)[0]
         except np.linalg.LinAlgError:
             continue
         scale = np.sqrt(np.outer(np.diag(m), np.diag(m)))
@@ -678,12 +678,13 @@ def test_dense_inputs_solve_and_verify(n, d, seed):
 def test_runtime_needs_numpy_only():
     # scipy is installed for the tests; the library must not load it.
     code = (
-        "import sys; import numpy as np; from l1sos import is_sos, motzkin_like, solve;"
+        "import sys; from l1sos import is_sos, motzkin_like, solve;"
         "from l1sos.approx import assemble_reduced_dual;"
         "solve(assemble_reduced_dual(motzkin_like(), 3)); is_sos(motzkin_like(), 3);"
         "print('scipy' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
