@@ -23,6 +23,13 @@ the sign flips that fix f.  Each block's constraint coefficients are one
 :class:`~l1sos.sdp.Entries`, read from the upper triangle of the label
 matrix with one mask per class.  :func:`assemble_full_form`, a
 coefficient-wise formulation, is kept as a cross-check on tiny instances.
+
+A result is accepted only through :func:`verify`'s own checks.  Each is
+one function that returns a :class:`Check` and never raises, with residual
+inf for an input that does not fit: :func:`_gram_check`, :func:`_gap_check`
+and :func:`_psd_check`.  The pipeline hands them to :func:`_require`, which
+raises every SolverFailure, so it refuses exactly what :func:`verify` would
+fail.
 """
 
 from __future__ import annotations
@@ -62,11 +69,15 @@ _SOS_RHO_TOL = 1e-7
 
 
 class SolverFailure(RuntimeError):
-    """The conic solver did not reach Optimal status."""
+    """The conic solve did not reach Optimal status, or its result failed
+    ``check``, one of the checks that :func:`verify` runs."""
 
-    def __init__(self, message: str, solution: ConicSolution | None = None):
+    def __init__(
+        self, message: str, solution: ConicSolution | None = None, check: Check | None = None
+    ):
         super().__init__(message)
         self.solution = solution
+        self.check = check
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +243,63 @@ def _gap_tolerance(f: Polynomial, rho: float) -> float:
     return 1e-7 * (min(1.0, f.l1_norm()) + rho)
 
 
+# The acceptance checks that the pipeline and verify share.  Each one is
+# total: an input that does not fit fails with residual inf instead of
+# raising.
+
+def _gram_check(bp: BasisProducts, gram, g: Polynomial) -> Check:
+    """The Gram matrix, s x s over bp's degree-d basis, reproduces every
+    coefficient of g to :func:`_gram_tolerance`; terms of g above degree 2d
+    count as errors."""
+    s = len(bp.basis)
+    res = np.inf
+    if g.n == bp.basis.n and np.shape(gram) == (s, s) and np.isfinite(gram).all():
+        res = float(np.abs(_coefficient_error(bp, gram, g)).max())
+    tol = _gram_tolerance(g)
+    return Check("gram_reproduces_g", res <= tol, res, tol)
+
+
+def _gap_check(f: Polynomial, rho: float, y: MomentVector) -> Check:
+    """Zero duality gap, rho = -L_y(f), to :func:`_gap_tolerance`.  y must
+    be finite, in f's variables and of degree at least deg f."""
+    res = np.inf
+    if y.n == f.n and y.degree >= f.degree() and np.isfinite(y.values).all():
+        res = abs(rho + riesz(y, f))
+    tol = _gap_tolerance(f, rho)
+    return Check("zero_duality_gap", res <= tol, res, tol)
+
+
+def _psd_check(name: str, mat) -> Check:
+    """``mat``, a finite nonempty square matrix, is PSD: its symmetric
+    part's smallest eigenvalue is at least -1e-8 (1 + its largest)."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or not 0 < mat.shape[0] == mat.shape[1] or not np.isfinite(mat).all():
+        return Check(name, False, np.inf, 1e-8)
+    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    res, tol = max(0.0, -float(evals[0])), 1e-8 * (1.0 + float(evals[-1]))
+    return Check(name, res <= tol, res, tol)
+
+
+def _require(sol: ConicSolution, *checks: Check) -> None:
+    """Raise SolverFailure, with ``sol`` attached, unless the solve is
+    optimal and every check passes, the first failed check named."""
+    if sol.status != Status.OPTIMAL:
+        raise SolverFailure(
+            f"conic solve ended with status {sol.status.value}, stopped by "
+            f"{sol.stop_reason.value}, after {sol.iterations} iterations (gap={sol.gap:.3e}, "
+            f"feas_primal={sol.feas_primal:.3e}, feas_dual={sol.feas_dual:.3e})",
+            sol,
+        )
+    for c in checks:
+        if not c.passed:
+            raise SolverFailure(
+                f"{c.name.replace('_', ' ')} check failed: residual {c.residual:.3e} "
+                f"exceeds tolerance {c.tolerance:.3e}",
+                sol,
+                c,
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class _SignPartition:
     """Block structure of the moment-side programs of f.
@@ -384,16 +452,6 @@ def _extract_certificate(gram: np.ndarray, bp: BasisProducts, g: Polynomial) -> 
     return SosCertificate(squares, tuple(weights.tolist()), residual)
 
 
-def _clip_multipliers(raw: np.ndarray, sol: ConicSolution) -> np.ndarray:
-    if float(raw.min(initial=0.0)) < -_CLIP_TOL:
-        raise SolverFailure(
-            f"multiplier {raw.min():.3e} below -{_CLIP_TOL:.0e}; solve did not "
-            "reach the required accuracy",
-            sol,
-        )
-    return np.clip(raw, 0.0, None)
-
-
 def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
     n = f.n
     basis2d = enumerate_basis(n, 2 * d)
@@ -426,14 +484,6 @@ def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
     return Polynomial(n, dict(zip(_perturbation_monomials(n, two_d), lam)))
 
 
-def _failure_message(sol: ConicSolution) -> str:
-    return (
-        f"conic solve ended with status {sol.status.value}, stopped by "
-        f"{sol.stop_reason.value}, after {sol.iterations} iterations (gap={sol.gap:.3e}, "
-        f"feas_primal={sol.feas_primal:.3e}, feas_dual={sol.feas_dual:.3e})"
-    )
-
-
 def _moment_side_solution(
     f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
 ) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
@@ -457,18 +507,6 @@ def _moment_side_solution(
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
 
-def _solve_moment_side(
-    f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
-) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
-    """:func:`_moment_side_solution`, raising SolverFailure unless the solve
-    is optimal; y is then y*."""
-    out = _moment_side_solution(f, d, multipliers, options)
-    sol = out[-1]
-    if sol.status != Status.OPTIMAL:
-        raise SolverFailure(_failure_message(sol), sol)
-    return out
-
-
 def best_l1_sos_approximation(
     f: Polynomial, d: int, options: SolverOptions | None = None
 ) -> ApproximationResult:
@@ -476,9 +514,11 @@ def best_l1_sos_approximation(
     norm, together with the distance, multipliers, moment vector, Gram
     matrix and an explicit certificate.
 
-    Raises SolverFailure (with the raw solution attached) if the conic
-    solver does not reach Optimal status, or if its Gram matrix or its
-    duality gap misses the accuracy that :func:`verify` asks of a result.
+    Raises SolverFailure, with the raw solution attached, if the conic
+    solve does not reach Optimal status, if a multiplier lies below
+    -1e-9, or if the result fails :func:`verify`'s ``gram_reproduces_g``
+    or ``zero_duality_gap`` check, which the pipeline runs through the same
+    functions; the failed check is attached and named in the message.
     """
     _check_degree(f, d)
     if f.is_zero():
@@ -492,23 +532,20 @@ def best_l1_sos_approximation(
             stacklevel=2,
         )
 
-    bp, gram, raw, y_star, sol = _solve_moment_side(f, d, f.n + 1, options)
-    lam = _clip_multipliers(raw, sol)
+    bp, gram, raw, y_star, sol = _moment_side_solution(f, d, f.n + 1, options)
+    lam = np.clip(raw, 0.0, None)
     rho = float(lam.sum())
     g = f + _perturbation(f.n, 2 * d, lam)
-    # Cross-check the two reconstructions of g: from the multipliers and
-    # from the Gram block.  A mismatch means the solve was not as accurate
-    # as its status claims.
-    gram_dev = float(np.abs(_coefficient_error(bp, gram, g)).max())
-    gram_tol = _gram_tolerance(g)
-    if gram_dev > gram_tol:
-        raise SolverFailure(
-            f"Gram matrix reproduces g only to {gram_dev:.3e} (needs {gram_tol:.3e})", sol
-        )
-    gap = abs(rho + riesz(y_star, f))
-    gap_tol = _gap_tolerance(f, rho)
-    if gap > gap_tol:
-        raise SolverFailure(f"duality gap {gap:.3e} exceeds {gap_tol:.3e}", sol)
+    # Multipliers below -_CLIP_TOL, or a Gram matrix or moment vector that
+    # disagrees with them, mean the solve was not as accurate as its status
+    # claims.
+    neg = max(0.0, -float(raw.min(initial=0.0)))
+    _require(
+        sol,
+        Check("nonnegative_multipliers", neg <= _CLIP_TOL, neg, _CLIP_TOL),
+        _gram_check(bp, gram, g),
+        _gap_check(f, rho, y_star),
+    )
     certificate = _extract_certificate(gram, bp, g)
     return ApproximationResult(
         lam=lam,
@@ -582,7 +619,9 @@ def uniform_sos_perturbation(
     _check_degree(f, d)
     if f.is_zero():
         return 0.0, f
-    eps = float(max(_solve_moment_side(f, d, 1, options)[2][0], 0.0))
+    _, _, raw, _, sol = _moment_side_solution(f, d, 1, options)
+    _require(sol)
+    eps = float(max(raw[0], 0.0))
     g = f + _perturbation(f.n, 2 * d, np.full(f.n + 1, eps))
     return eps, g
 
@@ -593,16 +632,10 @@ def _witness_checks(
     """The checks of a witness y that g is not SOS at bp's degree d0:
     M_{d0}(y), read through the label matrix, is PSD, and L_y(g) < bound.
     A y that cannot fill M_{d0} fails both with residual inf."""
-    psd_res, psd_tol, value = float("inf"), 1e-8, float("inf")
-    if y.n == g.n and y.degree >= 2 * bp.basis.degree and np.isfinite(y.values).all():
-        evals = np.linalg.eigvalsh(y.values[bp.labels])
-        psd_res = max(0.0, -float(evals[0]))
-        psd_tol = 1e-8 * (1.0 + float(evals[-1]))
-        value = riesz(y, g)
-    return (
-        Check("witness_moment_psd", psd_res <= psd_tol, psd_res, psd_tol),
-        Check("witness_value_negative", value < bound, value, bound),
-    )
+    fits = y.n == g.n and y.degree >= 2 * bp.basis.degree
+    psd = _psd_check("witness_moment_psd", y.values[bp.labels] if fits else None)
+    value = riesz(y, g) if psd.residual < np.inf else np.inf
+    return psd, Check("witness_value_negative", value < bound, value, bound)
 
 
 def _certificate_checks(
@@ -648,75 +681,46 @@ def verify(
     checks: list[Check] = []
     n = f.n
     pattern = _perturbation_monomials(n, 2 * d)
-    pattern_set = set(pattern)
     lam = np.asarray(result.lam, dtype=float)
     rho = float(result.rho)
+    y = result.y_star
 
     # Multipliers are nonnegative.
     neg = max(0.0, -float(lam.min(initial=0.0)))
     checks.append(Check("nonnegative_multipliers", neg == 0.0, neg, 0.0))
 
-    # g - f is supported on {1, x_i^{2d}} and matches lam there.
-    diff = result.g - f
-    off_pattern = sum(
-        abs(c) for mono, c in diff.terms.items() if mono not in pattern_set
-    )
-    pattern_dev = max(
-        abs(diff.coefficient(mono) - lam[i]) for i, mono in enumerate(pattern)
-    )
-    structure_res = max(off_pattern, pattern_dev)
-    structure_tol = 1e-9 * (1.0 + rho)
-    checks.append(
-        Check(
-            "perturbation_structure",
-            structure_res <= structure_tol,
-            structure_res,
-            structure_tol,
-        )
-    )
+    # g - f is supported on {1, x_i^{2d}} and matches lam there, and rho is
+    # its l1 norm.  A g in other variables or a lam of another length or
+    # with non-finite entries fails both with residual inf.
+    structure_res = dist_res = np.inf
+    if result.g.n == n and lam.shape == (n + 1,) and np.isfinite(lam).all():
+        diff = result.g - f
+        off_pattern = sum(abs(c) for mono, c in diff.terms.items() if mono not in pattern)
+        pattern_dev = max(abs(diff.coefficient(mono) - lam[i]) for i, mono in enumerate(pattern))
+        structure_res = max(off_pattern, pattern_dev)
+        dist_res = abs(rho - diff.l1_norm())
+    tol = 1e-9 * (1.0 + rho)
+    checks.append(Check("perturbation_structure", structure_res <= tol, structure_res, tol))
+    checks.append(Check("rho_equals_l1_distance", dist_res <= tol, dist_res, tol))
 
-    # rho equals the l1 distance.
-    dist_res = abs(rho - diff.l1_norm())
-    dist_tol = 1e-9 * (1.0 + rho)
-    checks.append(Check("rho_equals_l1_distance", dist_res <= dist_tol, dist_res, dist_tol))
-
-    # A result of another degree has a Gram matrix or a moment vector that
-    # does not fit degree d; the checks that read them fail instead of
-    # raising.
     bp = basis_products(n, d)
-    s = len(bp.basis)
-    fits = np.shape(result.gram) == (s, s) and result.y_star.degree >= 2 * d
+    checks.append(_gram_check(bp, result.gram, result.g))
+    checks.append(_psd_check("gram_psd", result.gram))
+    checks.append(_gap_check(f, rho, y))
 
-    # The Gram matrix reproduces the coefficients of g.
-    gram_res = float("inf")
-    if fits:
-        gram_res = float(np.abs(_coefficient_error(bp, np.asarray(result.gram), result.g)).max())
-    gram_tol = _gram_tolerance(result.g)
-    checks.append(Check("gram_reproduces_g", gram_res <= gram_tol, gram_res, gram_tol))
-
-    # The Gram matrix is PSD.
-    evals = np.linalg.eigvalsh(0.5 * (result.gram + result.gram.T))
-    lmax = float(evals[-1]) if evals.size else 0.0
-    psd_res = max(0.0, -float(evals[0]))
-    psd_tol = 1e-8 * (1.0 + lmax)
-    checks.append(Check("gram_psd", psd_res <= psd_tol, psd_res, psd_tol))
-
-    # Zero duality gap: rho = -L_{y*}(f).
-    gap_res = abs(rho + riesz(result.y_star, f))
-    gap_tol = _gap_tolerance(f, rho)
-    checks.append(Check("zero_duality_gap", gap_res <= gap_tol, gap_res, gap_tol))
-
-    # y* is feasible for the moment-side program.
-    feas_res = float("inf")
-    if fits:
-        m_eigs = np.linalg.eigvalsh(moment_matrix(result.y_star, d))
-        feas_res = max(0.0, -float(m_eigs[0]))
-        corners = [result.y_star.value(mono) for mono in pattern]
-        feas_res = max(feas_res, max(0.0, max(corners) - 1.0))
+    # y* is feasible for the moment-side program; a y* of another degree
+    # fails.
+    feas_res = np.inf
+    if y.n == n and y.degree == 2 * d and np.isfinite(y.values).all():
+        feas_res = max(0.0, -float(np.linalg.eigvalsh(moment_matrix(y, d))[0]))
+        feas_res = max(feas_res, max(y.value(mono) for mono in pattern) - 1.0)
     checks.append(Check("moment_vector_feasible", feas_res <= 1e-8, feas_res, 1e-8))
 
-    # Certificate weights are positive and the squares rebuild g.
+    # Certificate weights are positive and the squares rebuild g; a
+    # certificate of another degree, told by the Gram matrix's shape, fails.
+    s = len(bp.basis)
     cert_tol = 1e-6 * (1.0 + result.g.l1_norm())
+    fits = np.shape(result.gram) == (s, s)
     checks.extend(_certificate_checks(result.certificate, result.g, bp, cert_tol, fits))
 
     return VerificationReport(tuple(checks))

@@ -41,7 +41,9 @@ whose objective is zero in every block, a pure feasibility problem, stops
 earlier, at its first exact certificate: an interior X after a full primal
 step, returned with the optimal dual y = 0, S = 0, or a y after a full
 dual step with S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray
-that proves infeasibility.  Every solution names the rule that ended it.
+that proves infeasibility.  Every solution names the rule that ended it and
+carries its trace: the iterate statistics of every iteration and the wall
+time of each step's phases.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -280,7 +282,6 @@ class SolverOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iter: int = 200
-    trace: bool = False
 
 
 class IterationStats(NamedTuple):
@@ -326,8 +327,8 @@ class ConicSolution:
     along an improving ray, which flags primal infeasibility or
     unboundedness.
 
-    With ``SolverOptions.trace``, ``trace`` holds one row per iterate and
-    ``phase_times`` one row per step taken from it; both are None otherwise.
+    ``trace`` holds one row per iterate and ``phase_times`` one row per step
+    taken from it.
     """
 
     status: Status
@@ -341,8 +342,8 @@ class ConicSolution:
     feas_dual: float
     iterations: int
     stop_reason: StopReason
-    trace: tuple[IterationStats, ...] | None = None
-    phase_times: tuple[PhaseTimes, ...] | None = None
+    trace: tuple[IterationStats, ...]
+    phase_times: tuple[PhaseTimes, ...]
 
 
 def _apply_a(coefs, xs, m: int) -> np.ndarray:
@@ -601,8 +602,8 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     zero_objective = not any(ck.any() for ck in cs)
     full_p = full_d = False
 
-    trace: list[IterationStats] | None = [] if opts.trace else None
-    phase_times: list[PhaseTimes] | None = [] if opts.trace else None
+    trace: list[IterationStats] = []
+    phase_times: list[PhaseTimes] = []
     status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
     it = 0
     pobj = dobj = gap = feas_p = feas_d = np.nan
@@ -619,8 +620,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         mu = compl / nu
         feas_p = float(np.linalg.norm(rp)) / b_scale
         feas_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / c_scale
-        if trace is not None:
-            trace.append(IterationStats(it, pobj, dobj, gap, mu, feas_p, feas_d))
+        trace.append(IterationStats(it, pobj, dobj, gap, mu, feas_p, feas_d))
 
         finite = (
             np.isfinite(pobj)
@@ -637,8 +637,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
             y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
             dobj = gap = feas_d = 0.0
-            if trace is not None:
-                trace[-1] = IterationStats(it, pobj, dobj, gap, 0.0, feas_p, feas_d)
+            trace[-1] = IterationStats(it, pobj, dobj, gap, 0.0, feas_p, feas_d)
             status, reason = Status.OPTIMAL, StopReason.FEASIBLE_POINT
             break
         if zero_objective and full_d and dobj > 0.0:
@@ -678,9 +677,8 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             break
         xs, y, ss, alpha_p, alpha_d, sigma, reg, times = stepped
         full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
-        if trace is not None:
-            trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
-            phase_times.append(times)
+        trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
+        phase_times.append(times)
 
     return ConicSolution(
         status=status,
@@ -694,8 +692,8 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         feas_dual=feas_d,
         iterations=it,
         stop_reason=reason,
-        trace=tuple(trace) if trace is not None else None,
-        phase_times=tuple(phase_times) if phase_times is not None else None,
+        trace=tuple(trace),
+        phase_times=tuple(phase_times),
     )
 
 

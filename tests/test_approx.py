@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -479,6 +481,66 @@ class TestUniformPerturbation:
             assert rho <= 3.0 * eps + 1e-7
 
 
+def gram_10x9(res):
+    return {"gram": res.gram[:, :9]}
+
+
+def gram_1d(res):
+    return {"gram": res.gram[0]}
+
+
+def gram_nan(res):
+    return {"gram": np.full_like(res.gram, np.nan)}
+
+
+def y_star_in_3_variables(res):
+    basis = enumerate_basis(3, 6)
+    values = [res.y_star.value(m[:2]) if m[2] == 0 else 0.0 for m in basis.monomials]
+    return {"y_star": MomentVector(basis, values)}
+
+
+def y_star_of_degree_4(res):
+    basis = enumerate_basis(2, 4)
+    return {"y_star": MomentVector(basis, res.y_star.values[: len(basis)])}
+
+
+def g_in_3_variables(res):
+    return {"g": Polynomial(3, {m + (0,): c for m, c in res.g.terms.items()})}
+
+
+def lam_of_length_2(res):
+    return {"lam": res.lam[:2]}
+
+
+def lam_empty(res):
+    return {"lam": np.zeros(0)}
+
+
+def lam_with_extra_zero(res):
+    return {"lam": np.append(res.lam, 0.0)}
+
+
+def lam_with_nan(res):
+    return {"lam": np.where(np.arange(res.lam.size) == 1, np.nan, res.lam)}
+
+
+# Malformed variants of the Motzkin-like d = 3 result, with the checks that
+# read the malformed part.
+LAM_CHECKS = ("perturbation_structure", "rho_equals_l1_distance")
+MALFORMED = [
+    (gram_10x9, ("gram_reproduces_g", "gram_psd")),
+    (gram_1d, ("gram_reproduces_g", "gram_psd")),
+    (gram_nan, ("gram_reproduces_g", "gram_psd")),
+    (y_star_in_3_variables, ("zero_duality_gap", "moment_vector_feasible")),
+    (y_star_of_degree_4, ("zero_duality_gap", "moment_vector_feasible")),
+    (g_in_3_variables, LAM_CHECKS + ("gram_reproduces_g",)),
+    (lam_of_length_2, LAM_CHECKS),
+    (lam_empty, LAM_CHECKS),
+    (lam_with_extra_zero, LAM_CHECKS),
+    (lam_with_nan, LAM_CHECKS),
+]
+
+
 @pytest.fixture(scope="module")
 def motzkin_result(motzkin):
     return best_l1_sos_approximation(motzkin, 3), motzkin
@@ -589,6 +651,15 @@ class TestVerify:
         text = str(verify(res, f, 3))
         assert "zero_duality_gap" in text and "pass" in text
 
+    @pytest.mark.parametrize("malform,failing", MALFORMED, ids=[m.__name__ for m, _ in MALFORMED])
+    def test_malformed_result_fails_a_check(self, motzkin_result, malform, failing):
+        # Each malformed part fails the checks that read it, with residual
+        # inf: a report, not an exception.
+        res, f = motzkin_result
+        report = verify(dataclasses.replace(res, **malform(res)), f, 3)
+        failed = {c.name: c.residual for c in report.checks if not c.passed}
+        assert {name: failed.get(name) for name in failing} == dict.fromkeys(failing, np.inf)
+
 
 @pytest.mark.filterwarnings("ignore:input has l1 norm")
 def test_gram_gate_scales_with_input(motzkin):
@@ -600,3 +671,37 @@ def test_gram_gate_scales_with_input(motzkin):
         report = verify(res, c * motzkin, 3)
         assert report.all_passed, f"c={c}\n{report}"
         assert res.rho / c == pytest.approx(rho_1, rel=1e-6)
+
+
+def scale_gram_blocks(sol):
+    for x in sol.primal[:-1]:
+        x *= 1.0 + 1e-5
+
+
+def shift_dual(sol):
+    sol.dual = sol.dual + 1e-5
+
+
+@pytest.mark.parametrize(
+    "tamper,name",
+    [(scale_gram_blocks, "gram_reproduces_g"), (shift_dual, "zero_duality_gap")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
+    """The pipeline refuses a tampered solve on the check that verify fails
+    for the result assembled from the same tampered parts, with the same
+    residual."""
+    counting_solves(monkeypatch, tamper)
+    with pytest.raises(SolverFailure) as err:
+        best_l1_sos_approximation(motzkin, 3)
+    assert name.replace("_", " ") in str(err.value)
+    bp, gram, raw, y_star, sol = approx._moment_side_solution(motzkin, 3, 3, None)
+    lam = np.clip(raw, 0.0, None)
+    g = motzkin + approx._perturbation(2, 6, lam)
+    res = ApproximationResult(
+        lam=lam, rho=float(lam.sum()), g=g, y_star=y_star, gram=gram,
+        certificate=approx._extract_certificate(gram, bp, g), solver=approx._report(sol),
+    )
+    checks = {c.name: c for c in verify(res, motzkin, 3).checks}
+    assert not checks[name].passed
+    assert checks[name] == err.value.check

@@ -109,21 +109,21 @@ class TestIterateInvariants:
          lambda: assemble_reduced_dual(motzkin_like(), 5)],
     )
     def test_weak_duality_along_trace(self, factory):
-        sol = solve(factory(), SolverOptions(trace=True))
+        sol = solve(factory())
         assert sol.status is Status.OPTIMAL
         for stats in sol.trace:
             assert stats.primal_objective - stats.dual_objective >= -1e-9
 
     def test_deterministic_iterates(self):
         problem = assemble_reduced_dual(motzkin_like(), 3)
-        first = solve(problem, SolverOptions(trace=True))
-        second = solve(problem, SolverOptions(trace=True))
+        first = solve(problem)
+        second = solve(problem)
         assert first.trace == second.trace  # bit-identical floats
         assert np.array_equal(first.dual, second.dual)
 
     def test_step_data_in_trace(self):
         problem = assemble_reduced_dual(motzkin_like(), 4)
-        sol = solve(problem, SolverOptions(trace=True))
+        sol = solve(problem)
         *steps, last = sol.trace
         assert steps
         for stats in steps:
@@ -131,17 +131,15 @@ class TestIterateInvariants:
             assert 0.0 < stats.alpha_d <= 1.0
             assert 0.0 <= stats.sigma <= 1.0
         assert np.isnan([last.alpha_p, last.alpha_d, last.sigma, last.reg]).all()
-        assert solve(problem).trace is None
 
     def test_schur_shift_in_trace(self):
         problem = assemble_reduced_dual(dense_polynomial(np.random.default_rng(0), 3, 6), 3)
-        sol = solve(problem, SolverOptions(trace=True))
+        sol = solve(problem)
         assert sol.status is Status.OPTIMAL
         *steps, last = sol.trace
         assert steps
         assert all(stats.reg == 0.0 for stats in steps)
         assert np.isnan(last.reg)
-        assert solve(problem).trace is None
 
     def test_factor_schur_reports_shift(self):
         assert sdp._factor_schur(np.eye(3))[1] == 0.0
@@ -186,11 +184,10 @@ class TestIterateInvariants:
 
     def test_phase_times_only_when_tracing(self):
         problem = assemble_reduced_dual(motzkin_like(), 4)
-        sol = solve(problem, SolverOptions(trace=True))
+        sol = solve(problem)
         assert len(sol.phase_times) == len(sol.trace) - 1 == sol.iterations
         for times in sol.phase_times:
             assert min(times) > 0.0
-        assert solve(problem).phase_times is None
 
     def test_solution_blocks_psd(self):
         sol = solve(assemble_reduced_dual(motzkin_like(), 4))
@@ -276,7 +273,7 @@ class TestStatuses:
         r = np.random.default_rng(3).standard_normal((len(bp.basis),) * 2)
         g = bp.gram_polynomial(r @ r.T / len(bp.basis))
         unit = g * (1.0 / g.l1_norm())
-        sol = approx._moment_side_solution(unit, 2, 0, SolverOptions(trace=True))[-1]
+        sol = approx._moment_side_solution(unit, 2, 0, None)[-1]
         assert sol.stop_reason is StopReason.FEASIBLE_POINT
         last = sol.trace[-1]
         assert last.dual_objective == last.gap == last.mu == last.feas_dual == 0.0
