@@ -16,16 +16,19 @@ branch on the block type.
 
 The constraint coefficients come as one :class:`Entries` per block, a flat
 list of (constraint, row, column, value) entries, the input format of SDPA.
-It stores both (r, c) and (c, r) of every PSD entry, sorted by constraint,
-repeated entries summed.  A(Z) and A^T(y) are bincounts over them.  On each
-PSD block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
+It stores each block's entries once: both (r, c) and (c, r) of every PSD
+entry, repeated entries summed, one row per constraint, each row padded with
+zero entries to the length of the longest in its chunk of constraints.
+Entries are additive, so A(Z), A^T(y) and the nonnegative blocks' part of
+the Schur complement are bincounts over them, pads included.  On each PSD
+block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
 complement M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
 (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997), using the
 per-constraint sparsity: W A_j W is a small product over constraint j's
 entries, formed for a chunk of constraints at once by one stacked product
-over their entries padded to equal length, and column j of M is read off it
-at the upper-triangle entries of the constraints i >= j, summed by
-constraint in one reduction, and mirrored into row j.  M is exactly
+over their padded rows, and column j of M is read off it at the
+upper-triangle entries of the constraints i >= j, summed by constraint in
+one reduction, and mirrored into row j.  M is exactly
 symmetric but positive semidefinite only up to roundoff.  M gets a dense
 left-looking blocked Cholesky factorization, one matrix product per block
 column, whose diagonal-block inverses also serve the blocked substitution
@@ -119,21 +122,18 @@ class Entries:
     off the diagonal stands for its mirrored pair; on a nonnegative block
     ``rows == cols``.
 
-    Stored as the solver reads them: both triangles, sorted by (constraint,
-    row, column), repeated entries summed.  ``touched`` lists the
-    constraints with an entry in the block, and entry e belongs to
-    ``touched[slot[e]]``.
+    Stored once, as the solver reads them: both triangles, repeated entries
+    summed, in padded rows.  ``touched`` lists the constraints with an
+    entry in the block, and row t holds those of ``touched[t]``, sorted by
+    (row, column), then pads (``touched[t]``, 0, 0, 0.0) up to the longest
+    row of its chunk of _SCHUR_CHUNK rows, ``chunk_widths[c]`` for chunk c.
+    So a chunk's W A_j W are one stacked product, and entries are additive:
+    every reader accumulates.  Entry e belongs to ``touched[slot[e]]``.
 
-    The ``triu_*`` fields keep the entries with row <= column in the same
-    order, off-diagonal values doubled, so <A_i, Y> for a symmetric Y sums
-    over them alone; those of ``touched[t]`` start at ``triu_starts[t]``.
-
-    The ``chunk_*`` fields hold the entries again, the touched constraints
-    taken _SCHUR_CHUNK at a time: chunk c is a (constraints, width) array
-    flattened, one row per constraint, ``chunk_widths[c]`` the most entries
-    any of its constraints has.  Each row keeps its constraint's entries in
-    order and is padded with (0, 0, 0.0), so a chunk's W A_j W are one
-    stacked product.
+    ``triu_at`` indexes the entries with row <= column, in order, and
+    ``triu_vals`` holds their values, off-diagonal ones doubled, so
+    <A_i, Y> for a symmetric Y sums over them alone; those of
+    ``touched[t]`` start at ``triu_starts[t]``.
     """
 
     con: np.ndarray
@@ -142,13 +142,9 @@ class Entries:
     vals: np.ndarray
     touched: np.ndarray = field(init=False)
     slot: np.ndarray = field(init=False)
-    triu_rows: np.ndarray = field(init=False)
-    triu_cols: np.ndarray = field(init=False)
+    triu_at: np.ndarray = field(init=False)
     triu_vals: np.ndarray = field(init=False)
     triu_starts: np.ndarray = field(init=False)
-    chunk_rows: np.ndarray = field(init=False)
-    chunk_cols: np.ndarray = field(init=False)
-    chunk_vals: np.ndarray = field(init=False)
     chunk_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -173,32 +169,30 @@ class Entries:
         vals = np.bincount(np.cumsum(new) - 1, weights=vals[order])
         con, rows, cols = con[new], rows[new], cols[new]
         first = np.diff(con, prepend=con[:1] - 1) != 0
+        touched = con[first]
         # Every constraint keeps an entry here: each one below the diagonal
         # has its mirror above it.
         up = rows <= cols
         triu_first = np.diff(con[up], prepend=-1) != 0
-        slot = np.cumsum(first) - 1
+        # The entries of touched[t] are bounds[t]:bounds[t + 1]; its padded
+        # row, as long as every row of its chunk, starts at starts[t].
         bounds = np.append(np.flatnonzero(first), con.size)
-        # The entries of touched[t] are bounds[t]:bounds[t + 1], and its
-        # padded row, as long as every row of its chunk, starts at starts[t].
         counts = np.diff(bounds)
         widths = np.maximum.reduceat(counts, np.arange(0, counts.size, _SCHUR_CHUNK))
         row_widths = np.repeat(widths, _SCHUR_CHUNK)[: counts.size]
         starts = np.cumsum(row_widths) - row_widths
-        at = starts[slot] + np.arange(con.size) - bounds[slot]
+        slot = np.repeat(np.arange(counts.size), row_widths)
+        at = np.arange(con.size) + np.repeat(starts - bounds[:-1], counts)
         padded = []
         for a in (rows, cols, vals):
-            pad = np.zeros(row_widths.sum(), dtype=a.dtype)
+            pad = np.zeros(slot.size, dtype=a.dtype)
             pad[at] = a
             padded.append(pad)
         for name, value in (
-            ("con", con), ("rows", rows), ("cols", cols), ("vals", vals),
-            ("touched", con[first]), ("slot", slot),
-            ("triu_rows", rows[up]), ("triu_cols", cols[up]),
+            ("con", touched[slot]), ("rows", padded[0]), ("cols", padded[1]), ("vals", padded[2]),
+            ("touched", touched), ("slot", slot), ("triu_at", at[up]),
             ("triu_vals", np.where(rows == cols, 1.0, 2.0)[up] * vals[up]),
-            ("triu_starts", np.flatnonzero(triu_first)),
-            ("chunk_rows", padded[0]), ("chunk_cols", padded[1]),
-            ("chunk_vals", padded[2]), ("chunk_widths", widths),
+            ("triu_starts", np.flatnonzero(triu_first)), ("chunk_widths", widths),
         ):
             object.__setattr__(self, name, value)
 
@@ -368,9 +362,9 @@ def _apply_at(coefs, blocks, y):
     return out
 
 
-def _inner(blocks, xs, ys) -> float:
+def _inner(xs, ys) -> float:
     total = 0.0
-    for blk, x, y in zip(blocks, xs, ys):
+    for x, y in zip(xs, ys):
         total += float(np.sum(x * y))
     return total
 
@@ -431,7 +425,7 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     the result is exactly symmetric."""
     s = w.shape[0]
     k = e.touched.size
-    flat = e.triu_rows * s + e.triu_cols
+    flat = e.rows[e.triu_at] * s + e.cols[e.triu_at]
     starts = e.triu_starts
     out = np.empty((k, k))
     full = np.empty((min(k, _SCHUR_CHUNK), s, s))
@@ -439,9 +433,9 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     for lo, width in zip(range(0, k, _SCHUR_CHUNK), e.chunk_widths.tolist()):
         hi = min(lo + _SCHUR_CHUNK, k)
         a, z = z, z + (hi - lo) * width
-        r, c = (idx[a:z].reshape(hi - lo, width) for idx in (e.chunk_rows, e.chunk_cols))
+        r, c = (idx[a:z].reshape(hi - lo, width) for idx in (e.rows, e.cols))
         left = np.take(w, r, axis=0)
-        left *= e.chunk_vals[a:z].reshape(hi - lo, width, 1)
+        left *= e.vals[a:z].reshape(hi - lo, width, 1)
         np.matmul(left.transpose(0, 2, 1), np.take(w, c, axis=0), out=full[: hi - lo])
         # Entries are sorted by constraint: those of lo and later start at
         # starts[lo].
@@ -472,9 +466,9 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
             block = _schur_block(e, g @ g.T)
         else:
             g, d = np.sqrt(x / s), np.sqrt(x * s)
-            q = np.zeros((e.touched.size, blk.count))
-            q[e.slot, e.rows] = e.vals * g[e.rows]
-            block = q @ q.T
+            k, n = e.touched.size, blk.count
+            q = np.bincount(e.slot * n + e.rows, weights=e.vals * g[e.rows], minlength=k * n)
+            block = q.reshape(k, n) @ q.reshape(k, n).T
         scalings.append((g, d))
         if e.touched.size == m:
             schur += block
@@ -567,11 +561,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     """Solve the conic program, returning primal and dual variables, the dual
     slack, a certified duality gap and feasibility residuals."""
     opts = options if options is not None else SolverOptions()
-    blocks = problem.blocks
-    coefs = problem.coefs
-    cs = [ck.copy() for ck in problem.c]
-    b = problem.b.copy()
-    m = problem.m
+    blocks, coefs, cs, b, m = problem.blocks, problem.coefs, problem.c, problem.b, problem.m
 
     a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
     b_inf = float(np.max(np.abs(b)))
@@ -613,10 +603,10 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
         rp = b - ax
         aty = _apply_at(coefs, blocks, y)
         rd = [ck - at - sk for ck, at, sk in zip(cs, aty, ss)]
-        pobj = _inner(blocks, cs, xs)
+        pobj = _inner(cs, xs)
         dobj = float(b @ y)
         gap = abs(pobj - dobj)
-        compl = _inner(blocks, xs, ss)
+        compl = _inner(xs, ss)
         mu = compl / nu
         feas_p = float(np.linalg.norm(rp)) / b_scale
         feas_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / c_scale
@@ -755,7 +745,6 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     alpha_d = min(1.0, _max_step(blocks, scalings, ds_a))
     mu_aff = max(
         _inner(
-            blocks,
             [dm + alpha_p * dx for dm, dx in zip(dmats, dx_a)],
             [dm + alpha_d * ds for dm, ds in zip(dmats, ds_a)],
         ),

@@ -459,15 +459,26 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def sorted_triples(con, rows, cols, vals):
+    """A block's raw triples as :class:`Entries` holds them, without pads:
+    an entry at (r, c) also at (c, r), repeated entries summed in input
+    order, sorted by (constraint, row, column)."""
+    summed = {}
+    for i, r, c, v in zip(con.tolist(), rows.tolist(), cols.tolist(), vals.tolist()):
+        for key in {(i, r, c), (i, c, r)}:
+            summed[key] = summed.get(key, 0.0) + v
+    keys = sorted(summed)
+    return tuple(np.array(a, dtype=int) for a in zip(*keys)) + (np.array([summed[k] for k in keys]),)
+
+
 STORED = (
     "con", "rows", "cols", "vals", "touched", "slot",
-    "triu_rows", "triu_cols", "triu_vals", "triu_starts",
-    "chunk_rows", "chunk_cols", "chunk_vals", "chunk_widths",
+    "triu_at", "triu_vals", "triu_starts", "chunk_widths",
 )
 
 # Random programs by seed and constraint count.  With m = 37 the last Schur
 # chunk is partial, and the constraints of each chunk have uneven entry
-# counts, so the chunk rows carry pads.
+# counts, so the rows carry pads.
 PROGRAMS = pytest.mark.parametrize(
     "seed,m", [(0, 9), (1, 9), (2, 9), (3, 9), (4, 37)], ids=["0", "1", "2", "3", "m37"]
 )
@@ -495,43 +506,99 @@ class TestEntries:
     def test_stored_form(self, seed, m):
         rng = np.random.default_rng(seed)
         problem, raw = random_conic_problem(rng, m=m)
-        for e, ref in zip(problem.coefs, dense_reference(problem, raw)):
+        for e, triples, ref in zip(problem.coefs, raw, dense_reference(problem, raw)):
             dense = np.zeros_like(ref)
             np.add.at(dense, (e.con, e.rows, e.cols)[: ref.ndim], e.vals)
             assert rel_diff(dense, ref) <= 1e-13
-            # Sorted by (constraint, row, column) without repeats, and
-            # grouped by constraint.
-            key = np.stack([e.con, e.rows, e.cols])
-            assert np.all(np.any(np.diff(key) != 0, axis=0))
-            assert np.array_equal(np.lexsort(key[::-1]), np.arange(e.con.size))
+            # One row per touched constraint, as long as the longest of its
+            # chunk: the constraint's sorted triples, then pads
+            # (constraint, 0, 0, 0.0).
+            con, rows, cols, vals = sorted_triples(*triples)
+            touched, counts = np.unique(con, return_counts=True)
+            assert np.array_equal(e.touched, touched)
             assert np.array_equal(e.touched[e.slot], e.con)
             assert np.all(np.diff(e.slot) >= 0)
+            widths = np.bincount(e.slot, minlength=touched.size)
+            los = range(0, touched.size, sdp._SCHUR_CHUNK)
+            assert len(los) == e.chunk_widths.size
+            for lo, width in zip(los, e.chunk_widths):
+                assert width == counts[lo : lo + sdp._SCHUR_CHUNK].max()
+                assert np.all(widths[lo : lo + sdp._SCHUR_CHUNK] == width)
+            at = np.arange(e.slot.size) - np.repeat(np.cumsum(widths) - widths, widths)
+            real = at < counts[e.slot]
+            for stored, want in zip((e.con, e.rows, e.cols, e.vals), (con, rows, cols, vals)):
+                assert np.array_equal(stored[real], want)
+            assert not np.any([e.rows[~real], e.cols[~real], e.vals[~real]])
             # The upper triangle with off-diagonal values doubled, grouped by
             # constraint.
-            triu_con = np.repeat(e.touched, np.diff(np.append(e.triu_starts, e.triu_rows.size)))
+            up = rows <= cols
+            assert np.array_equal(e.triu_at, np.flatnonzero(real & (e.rows <= e.cols)))
+            assert np.array_equal(e.triu_vals, (np.where(rows == cols, 1.0, 2.0) * vals)[up])
+            assert np.array_equal(e.triu_starts, np.searchsorted(con[up], touched))
+            triu = (e.con[e.triu_at], e.rows[e.triu_at], e.cols[e.triu_at])
             upper = np.zeros_like(ref)
-            np.add.at(upper, (triu_con, e.triu_rows, e.triu_cols)[: ref.ndim], e.triu_vals)
+            np.add.at(upper, triu[: ref.ndim], e.triu_vals)
             want = np.triu(ref) + np.triu(ref, 1) if ref.ndim == 3 else ref
             assert rel_diff(upper, want) <= 1e-13
-            # The chunk rows: each constraint's entries in order, then pads
-            # (0, 0, 0.0) up to the chunk's width.
-            counts = np.bincount(e.slot, minlength=e.touched.size)
-            starts = np.cumsum(counts) - counts
-            los = range(0, counts.size, sdp._SCHUR_CHUNK)
-            assert len(los) == e.chunk_widths.size
-            end = 0
-            for lo, width in zip(los, e.chunk_widths):
-                part = counts[lo : lo + sdp._SCHUR_CHUNK]
-                assert width == part.max()
-                start, end = end, end + part.size * width
-                real = np.arange(width) < part[:, None]
-                for padded, flat in zip(
-                    (e.chunk_rows, e.chunk_cols, e.chunk_vals), (e.rows, e.cols, e.vals)
-                ):
-                    rows = padded[start:end].reshape(part.size, width)
-                    assert np.array_equal(rows[real], flat[starts[lo] : starts[lo] + part.sum()])
-                    assert not rows[~real].any()
-            assert end == e.chunk_rows.size == e.chunk_cols.size == e.chunk_vals.size
+
+    def test_kernels_add_pads_as_zeros(self, seed, m):
+        # A, A^T and the Schur complement bit for bit as their formulas give
+        # them on the unpadded sorted triples.  The nonnegative block has a
+        # padded row with an entry at index 0, which a pad would overwrite
+        # if a kernel assigned instead of adding.
+        rng = np.random.default_rng(seed)
+        problem, raw = random_conic_problem(rng, m=m)
+        blocks, coefs = problem.blocks, problem.coefs
+        pad = coefs[-1].vals == 0.0
+        at_zero = ~pad & (coefs[-1].rows == 0)
+        assert np.any(np.isin(coefs[-1].slot[pad], coefs[-1].slot[at_zero]))
+        triples = [sorted_triples(*t) for t in raw]
+        xs, ss = random_interior(rng, problem)
+        y = rng.standard_normal(problem.m)
+        ref_a = np.zeros(problem.m)
+        for (con, rows, cols, vals), x in zip(triples, xs):
+            picked = x[rows, cols] if x.ndim == 2 else x[rows]
+            ref_a += np.bincount(con, weights=vals * picked, minlength=problem.m)
+        assert np.array_equal(sdp._apply_a(coefs, xs, problem.m), ref_a)
+        for at, (con, rows, cols, vals), x in zip(sdp._apply_at(coefs, blocks, y), triples, xs):
+            idx = rows * x.shape[0] + cols if x.ndim == 2 else rows
+            ref = np.bincount(idx, weights=vals * y[con], minlength=x.size).reshape(x.shape)
+            assert np.array_equal(at, ref)
+        schur = sdp._schur_complement(blocks, coefs, xs, ss, problem.m)[0]
+        assert np.array_equal(schur, schur_from_triples(blocks, triples, xs, ss, problem.m))
+
+
+def schur_from_triples(blocks, triples, xs, ss, m):
+    """The Schur complement by the formulas of :func:`sdp._schur_complement`
+    on the unpadded sorted triples: W A_j W for one constraint at a time,
+    R[j, i] = <A_i, W A_j W> read off it at the upper triangle of A_i, and
+    M[i, j] = R[j, i] where j's chunk of constraints comes first, the mean
+    of the two where i and j share a chunk."""
+    schur = np.zeros((m, m))
+    for blk, (con, rows, cols, vals), x, s in zip(blocks, triples, xs, ss):
+        touched, slot = np.unique(con, return_inverse=True)
+        k = touched.size
+        if isinstance(blk, PsdBlock):
+            g = sdp._nt_scaling(x, s)[0]
+            w = g @ g.T
+            waw = np.empty((k, blk.dim, blk.dim))
+            for j in range(k):
+                mine = slot == j
+                left = np.take(w, rows[mine], axis=0) * vals[mine, None]
+                waw[j] = left.T @ np.take(w, cols[mine], axis=0)
+            up = rows <= cols
+            picked = np.take(waw.reshape(k, -1), rows[up] * blk.dim + cols[up], axis=1)
+            picked *= (np.where(rows == cols, 1.0, 2.0) * vals)[up]
+            r = np.add.reduceat(picked, np.searchsorted(slot[up], np.arange(k)), axis=1)
+            chunk = np.arange(k) // sdp._SCHUR_CHUNK
+            first = chunk[:, None] < chunk
+            block = np.where(chunk[:, None] == chunk, 0.5 * (r + r.T), np.where(first, r, r.T))
+        else:
+            q = np.zeros((k, blk.count))
+            q[slot, rows] = vals * np.sqrt(x / s)[rows]
+            block = q @ q.T
+        schur[np.ix_(touched, touched)] += block
+    return schur
 
 
 @PROGRAMS

@@ -123,7 +123,7 @@ def test_constraint_blocks_match_reference_pairs(f, d):
             e, size = sym[k], part.classes[k].size
             mine = e.con == t
             dense = np.zeros((size, size))
-            dense[e.rows[mine], e.cols[mine]] = e.vals[mine]
+            np.add.at(dense, (e.rows[mine], e.cols[mine]), e.vals[mine])
             ref = np.zeros((size, size))
             pk = ij[block_of[ij[:, 0]] == k]
             ref[local[pk[:, 0]], local[pk[:, 1]]] = 1.0
