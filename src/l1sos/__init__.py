@@ -51,7 +51,6 @@ from .sdp import (
     Entries,
     NonNegBlock,
     PsdBlock,
-    SolverOptions,
     Status,
     StopReason,
     solve,
@@ -73,7 +72,6 @@ __all__ = [
     "Polynomial",
     "PsdBlock",
     "SolverFailure",
-    "SolverOptions",
     "SosCertificate",
     "SosRefutation",
     "Status",

@@ -53,7 +53,6 @@ from .sdp import (
     Entries,
     NonNegBlock,
     PsdBlock,
-    SolverOptions,
     Status,
     StopReason,
     solve,
@@ -492,7 +491,7 @@ def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
 
 
 def _moment_side_solution(
-    f: Polynomial, d: int, multipliers: int, options: SolverOptions | None
+    f: Polynomial, d: int, multipliers: int
 ) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
     """Solve the moment-side program of f at degree bound 2d in sign-symmetry
     blocks, with ``multipliers`` perturbation multipliers (see
@@ -504,7 +503,7 @@ def _moment_side_solution(
     """
     bp = basis_products(f.n, d)
     partition = _sign_partition(f, bp)
-    sol = solve(_assemble_moment_side(f, bp, partition, multipliers), options)
+    sol = solve(_assemble_moment_side(f, bp, partition, multipliers))
     gram = np.zeros((len(bp.basis), len(bp.basis)))
     for idx, x in zip(partition.classes, sol.primal):
         gram[np.ix_(idx, idx)] = x
@@ -514,9 +513,7 @@ def _moment_side_solution(
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
 
-def best_l1_sos_approximation(
-    f: Polynomial, d: int, options: SolverOptions | None = None
-) -> ApproximationResult:
+def best_l1_sos_approximation(f: Polynomial, d: int) -> ApproximationResult:
     """Closest SOS polynomial of degree <= 2d to f in the l1 coefficient
     norm, together with the distance, multipliers, moment vector, Gram
     matrix and an explicit certificate.
@@ -531,7 +528,7 @@ def best_l1_sos_approximation(
     if f.is_zero():
         return _degenerate_result(f, d)
 
-    bp, gram, raw, y_star, sol = _moment_side_solution(f, d, f.n + 1, options)
+    bp, gram, raw, y_star, sol = _moment_side_solution(f, d, f.n + 1)
     lam = np.clip(raw, 0.0, None)
     rho = float(lam.sum())
     g = f + _perturbation(f.n, 2 * d, lam)
@@ -561,9 +558,7 @@ def _sos_degree(g: Polynomial) -> int:
     return max(1, (g.degree() + 1) // 2)
 
 
-def is_sos(
-    g: Polynomial, d: int, options: SolverOptions | None = None
-) -> SosCertificate | SosRefutation:
+def is_sos(g: Polynomial, d: int) -> SosCertificate | SosRefutation:
     """Decide SOS membership; the degree bound 2d only has to cover deg g.
 
     A sum of squares of degree 2e is a sum of squares of polynomials of
@@ -593,7 +588,7 @@ def is_sos(
     d0 = _sos_degree(g)
     norm = g.l1_norm()
     unit = g * (1.0 / norm)
-    bp, gram, _, ray, sol = _moment_side_solution(unit, d0, 0, options)
+    bp, gram, _, ray, sol = _moment_side_solution(unit, d0, 0)
     if sol.status == Status.OPTIMAL:
         return _extract_certificate(norm * gram, bp, g)
     if sol.status == Status.INFEASIBLE:
@@ -602,25 +597,29 @@ def is_sos(
             ray = MomentVector(ray.basis, ray.values / corner)
             if all(c.passed for c in _witness_checks(ray, unit, bp, -_SOS_RHO_TOL)):
                 return SosRefutation(witness=ray, value=riesz(ray, g))
-    result = best_l1_sos_approximation(unit, d0, options)
+    result = best_l1_sos_approximation(unit, d0)
     if result.rho > _SOS_RHO_TOL:
         return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
     return _extract_certificate(norm * result.gram, bp, g)
 
 
-def uniform_sos_perturbation(
-    f: Polynomial, d: int, options: SolverOptions | None = None
-) -> tuple[float, Polynomial]:
+def uniform_sos_perturbation(f: Polynomial, d: int) -> tuple[float, Polynomial]:
     """Smallest eps >= 0 with f + eps * (1 + sum_i x_i^{2d}) a sum of
     squares, found by tying all perturbation multipliers to one scalar.
-    Returns (eps, perturbed polynomial)."""
+    Returns (eps, perturbed polynomial).
+
+    Raises SolverFailure as :func:`best_l1_sos_approximation` does, on the
+    same checks: the tied multiplier is at least -1e-9, the Gram matrix
+    reproduces the perturbed polynomial, and eps = -L_y(f)."""
     _check_degree(f, d)
     if f.is_zero():
         return 0.0, f
-    _, _, raw, _, sol = _moment_side_solution(f, d, 1, options)
-    _require(sol)
+    bp, gram, raw, y, sol = _moment_side_solution(f, d, 1)
     eps = float(max(raw[0], 0.0))
     g = f + _perturbation(f.n, 2 * d, np.full(f.n + 1, eps))
+    _require(
+        sol, _nonnegative_check(raw, _CLIP_TOL), _gram_check(bp, gram, g), _gap_check(f, eps, y)
+    )
     return eps, g
 
 

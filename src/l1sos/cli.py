@@ -23,7 +23,6 @@ import numpy as np
 
 from . import approx as ap
 from . import poly
-from .sdp import SolverOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -53,9 +52,6 @@ def _build_parser() -> _Parser:
                            help="degree bound d (approximant degree <= 2d)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--gap-tol", type=float, default=SolverOptions.gap_tol)
-        p.add_argument("--feas-tol", type=float, default=SolverOptions.feas_tol)
-        p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
     p_approx = sub.add_parser("approx", help="best l1-norm SOS approximation")
     add_common(p_approx, needs_input=True)
@@ -77,15 +73,6 @@ def _check_args(args: argparse.Namespace) -> None:
         raise UsageError(f"missing command (one of: {', '.join(_RUNNERS)})")
     if getattr(args, "degree", 1) < 1:
         raise UsageError("--degree must be >= 1")
-    if args.max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
-    for flag, tol in (("--gap-tol", args.gap_tol), ("--feas-tol", args.feas_tol)):
-        if not (math.isfinite(tol) and tol > 0):
-            raise UsageError(f"{flag} must be finite and > 0")
-
-
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol, max_iter=args.max_iter)
 
 
 def _load_polynomial(path: str) -> poly.Polynomial:
@@ -182,7 +169,7 @@ def _result_rows(rows: list[tuple[int, ap.ApproximationResult]]) -> str:
 
 def _cmd_approx(args: argparse.Namespace) -> str:
     f = _load_polynomial(args.input)
-    res = ap.best_l1_sos_approximation(f, args.degree, options=_solver_options(args))
+    res = ap.best_l1_sos_approximation(f, args.degree)
     if args.format == "json":
         out = {"command": "approx"}
         out.update(_result_dict(res, args.degree))
@@ -192,7 +179,7 @@ def _cmd_approx(args: argparse.Namespace) -> str:
 
 def _cmd_check_sos(args: argparse.Namespace) -> str:
     g = _load_polynomial(args.input)
-    res = ap.is_sos(g, args.degree, options=_solver_options(args))
+    res = ap.is_sos(g, args.degree)
     if args.format == "json":
         out = {
             "command": "check-sos",
@@ -221,7 +208,7 @@ def _cmd_check_sos(args: argparse.Namespace) -> str:
 
 def _cmd_baseline(args: argparse.Namespace) -> str:
     f = _load_polynomial(args.input)
-    eps, g = ap.uniform_sos_perturbation(f, args.degree, options=_solver_options(args))
+    eps, g = ap.uniform_sos_perturbation(f, args.degree)
     if args.format == "json":
         out = {
             "command": "baseline",
@@ -235,10 +222,7 @@ def _cmd_baseline(args: argparse.Namespace) -> str:
 
 def _cmd_reproduce_table1(args: argparse.Namespace) -> str:
     f = ap.motzkin_like()
-    rows = []
-    for d in (3, 4, 5):
-        res = ap.best_l1_sos_approximation(f, d, options=_solver_options(args))
-        rows.append((d, res))
+    rows = [(d, ap.best_l1_sos_approximation(f, d)) for d in (3, 4, 5)]
     if args.format == "json":
         out = {
             "command": "reproduce-table1",

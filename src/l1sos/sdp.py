@@ -38,15 +38,17 @@ Everything is deterministic: a fixed scale-aware starting point and no
 randomized pivoting, so identical inputs produce identical iterate
 sequences.
 
-A solve stops when gap, complementarity and both residuals meet their
-tolerances, or when the iterates diverge along an improving ray.  A program
-whose objective is zero in every block, a pure feasibility problem, stops
-earlier, at its first exact certificate: an interior X after a full primal
-step, returned with the optimal dual y = 0, S = 0, or a y after a full
-dual step with S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray
-that proves infeasibility.  Every solution names the rule that ended it and
-carries its trace: the iterate statistics of every iteration and the wall
-time of each step's phases.
+A solve stops when the gap and the complementarity are at most
+1e-8 (1 + |b'y|) and both relative residuals at most 1e-8, when the
+iterates diverge along an improving ray, or after 200 iterations.  The
+rule is fixed (_GAP_TOL, _FEAS_TOL, _MAX_ITER).  A program whose objective
+is zero in every block, a pure feasibility problem, stops earlier, at its
+first exact certificate: an interior X after a full primal step, returned
+with the optimal dual y = 0, S = 0, or a y after a full dual step with
+S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray that proves
+infeasibility.  Every solution names the rule that ended it and carries
+its trace: the iterate statistics of every iteration and the wall time of
+each step's phases.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -76,6 +78,11 @@ _SUBST_BLOCK = 64
 _SCHUR_CHUNK = 16
 # Share of the distance to the cone boundary that a step may cover.
 _STEP_FRACTION = 0.98
+# The stopping rule: gap and complementarity relative to 1 + |b'y|, and the
+# primal and dual residuals relative to 1 + ||b|| and 1 + ||C||.
+_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-8
+_MAX_ITER = 200
 
 
 class Status(str, enum.Enum):
@@ -231,6 +238,8 @@ class ConicProblem:
         cs = []
         for k, (blk, ck, e) in enumerate(zip(blocks, c, coefs, strict=True)):
             ck = np.asarray(ck, dtype=float)
+            if not np.isfinite(ck).all():
+                raise ValueError(f"objective block {k} is not finite")
             if isinstance(blk, PsdBlock):
                 if blk.dim < 1:
                     raise ValueError("PSD block dimension must be >= 1")
@@ -271,13 +280,6 @@ class ConicProblem:
         return self.b.size
 
 
-@dataclass
-class SolverOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-
-
 class IterationStats(NamedTuple):
     iteration: int
     primal_objective: float
@@ -310,7 +312,7 @@ class ConicSolution:
     """Primal/dual iterate returned by :func:`solve`.
 
     ``status == Status.OPTIMAL`` guarantees the duality gap and both
-    feasibility residuals are below the requested tolerances and that every
+    feasibility residuals are below the stopping tolerances and that every
     primal and slack block is positive semidefinite up to roundoff.  On a
     zero objective it may stop at a feasible point (``stop_reason`` is
     ``FEASIBLE_POINT``): X is then interior and y = 0, S = 0, so gap and
@@ -557,10 +559,9 @@ def _schur_solve(factor, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicSolution:
+def solve(problem: ConicProblem) -> ConicSolution:
     """Solve the conic program, returning primal and dual variables, the dual
     slack, a certified duality gap and feasibility residuals."""
-    opts = options if options is not None else SolverOptions()
     blocks, coefs, cs, b, m = problem.blocks, problem.coefs, problem.c, problem.b, problem.m
 
     a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
@@ -598,7 +599,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
     it = 0
     pobj = dobj = gap = feas_p = feas_d = np.nan
 
-    for it in range(opts.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         ax = _apply_a(coefs, xs, m)
         rp = b - ax
         aty = _apply_at(coefs, blocks, y)
@@ -623,7 +624,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             status, reason = Status.NUMERICAL_FAILURE, StopReason.NOT_FINITE
             break
 
-        if zero_objective and full_p and feas_p <= opts.feas_tol:
+        if zero_objective and full_p and feas_p <= _FEAS_TOL:
             # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
             y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
             dobj = gap = feas_d = 0.0
@@ -636,10 +637,10 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
 
         scale_ref = 1.0 + abs(dobj)
         if (
-            gap <= opts.gap_tol * scale_ref
-            and compl <= opts.gap_tol * scale_ref
-            and feas_p <= opts.feas_tol
-            and feas_d <= opts.feas_tol
+            gap <= _GAP_TOL * scale_ref
+            and compl <= _GAP_TOL * scale_ref
+            and feas_p <= _FEAS_TOL
+            and feas_d <= _FEAS_TOL
         ):
             status, reason = Status.OPTIMAL, StopReason.CONVERGED
             break
@@ -655,7 +656,7 @@ def solve(problem: ConicProblem, options: SolverOptions | None = None) -> ConicS
             status, reason = Status.INFEASIBLE, StopReason.DIVERGENCE
             break
 
-        if it == opts.max_iter:
+        if it == _MAX_ITER:
             break
 
         try:

@@ -14,7 +14,6 @@ from l1sos import (
     Entries,
     NonNegBlock,
     PsdBlock,
-    SolverOptions,
     Status,
     assemble_full_form,
     atomic_moments,

@@ -9,7 +9,6 @@ from l1sos import (
     Polynomial,
     PsdBlock,
     SolverFailure,
-    SolverOptions,
     SosCertificate,
     SosRefutation,
     Status,
@@ -27,7 +26,7 @@ from l1sos import (
     uniform_sos_perturbation,
     verify,
 )
-from l1sos import approx
+from l1sos import approx, sdp
 from l1sos.approx import ApproximationResult
 
 from conftest import dense_polynomial, random_polynomial
@@ -77,8 +76,8 @@ def counting_solves(monkeypatch, tamper=None):
     has had its way with each solution."""
     statuses, real = [], approx.solve
 
-    def solve(problem, options=None):
-        sol = real(problem, options)
+    def solve(problem):
+        sol = real(problem)
         if tamper is not None:
             tamper(sol)
         statuses.append(sol.status)
@@ -156,9 +155,10 @@ class TestBestApproximation:
         "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
         ids=lambda fn: fn.__name__,
     )
-    def test_solver_failure_propagates(self, motzkin, entry):
+    def test_solver_failure_propagates(self, monkeypatch, motzkin, entry):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 2)
         with pytest.raises(SolverFailure) as err:
-            entry(motzkin, 3, options=SolverOptions(max_iter=2))
+            entry(motzkin, 3)
         assert err.value.solution is not None
         assert "max_iterations" in str(err.value)
         assert err.value.solution.stop_reason is StopReason.MAX_ITERATIONS
@@ -687,7 +687,7 @@ def test_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
     with pytest.raises(SolverFailure) as err:
         best_l1_sos_approximation(motzkin, 3)
     assert name.replace("_", " ") in str(err.value)
-    bp, gram, raw, y_star, sol = approx._moment_side_solution(motzkin, 3, 3, None)
+    bp, gram, raw, y_star, sol = approx._moment_side_solution(motzkin, 3, 3)
     lam = np.clip(raw, 0.0, None)
     g = motzkin + approx._perturbation(2, 6, lam)
     res = ApproximationResult(
@@ -697,3 +697,33 @@ def test_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
     checks = {c.name: c for c in verify(res, motzkin, 3).checks}
     assert not checks[name].passed
     assert checks[name] == err.value.check
+
+
+@pytest.mark.parametrize(
+    "tamper,name",
+    [(scale_gram_blocks, "gram_reproduces_g"), (shift_dual, "zero_duality_gap")],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_baseline_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
+    """The baseline refuses a tampered solve on the check that verify's
+    own functions fail for the same tampered parts."""
+    counting_solves(monkeypatch, tamper)
+    with pytest.raises(SolverFailure) as err:
+        uniform_sos_perturbation(motzkin, 3)
+    bp, gram, raw, y, _ = approx._moment_side_solution(motzkin, 3, 1)
+    eps = float(max(raw[0], 0.0))
+    g = motzkin + approx._perturbation(2, 6, np.full(3, eps))
+    checks = {
+        c.name: c for c in (approx._gram_check(bp, gram, g), approx._gap_check(motzkin, eps, y))
+    }
+    assert err.value.check.name == name
+    assert checks[name] == err.value.check
+
+
+def test_baseline_refuses_small_scale_gap(motzkin):
+    # At c = 1e-6 the tied program stops with eps / c = 0.0088 against
+    # 0.0054 at c = 1, and -L_y(f) disagrees with eps by far more than the
+    # gap tolerance.
+    with pytest.raises(SolverFailure) as err:
+        uniform_sos_perturbation(1e-6 * motzkin, 3)
+    assert err.value.check.name == "zero_duality_gap"

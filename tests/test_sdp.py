@@ -11,7 +11,6 @@ from l1sos import (
     Entries,
     NonNegBlock,
     PsdBlock,
-    SolverOptions,
     Status,
     StopReason,
     best_l1_sos_approximation,
@@ -210,8 +209,9 @@ def assert_farkas_ray(problem, sol):
 
 
 class TestStatuses:
-    def test_max_iterations(self):
-        sol = solve(min_trace_cross(), SolverOptions(max_iter=2))
+    def test_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+        sol = solve(min_trace_cross())
         assert sol.status is Status.MAX_ITERATIONS
         assert sol.stop_reason is StopReason.MAX_ITERATIONS
         assert sol.iterations == 2
@@ -273,7 +273,7 @@ class TestStatuses:
         r = np.random.default_rng(3).standard_normal((len(bp.basis),) * 2)
         g = bp.gram_polynomial(r @ r.T / len(bp.basis))
         unit = g * (1.0 / g.l1_norm())
-        sol = approx._moment_side_solution(unit, 2, 0, None)[-1]
+        sol = approx._moment_side_solution(unit, 2, 0)[-1]
         assert sol.stop_reason is StopReason.FEASIBLE_POINT
         last = sol.trace[-1]
         assert last.dual_objective == last.gap == last.mu == last.feas_dual == 0.0
@@ -390,6 +390,26 @@ class TestValidation:
                 blocks=(NonNegBlock(1), PsdBlock(2)),
                 c=(np.zeros(1), np.eye(2)),
                 coefs=(Entries([0], [0], [0], [1.0]), Entries([con], [row], [col], [1.0])),
+                b=[1.0],
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "blk,obj",
+        [
+            (PsdBlock(2), lambda v: np.diag([v, 1.0])),
+            (NonNegBlock(2), lambda v: np.array([v, 1.0])),
+        ],
+        ids=["psd", "nonneg"],
+    )
+    def test_nonfinite_objective(self, value, blk, obj):
+        # Past this check a NaN objective ends the solve at iteration 0 and
+        # an inf one overflows inside it.
+        with pytest.raises(ValueError, match="objective block 1 is not finite"):
+            ConicProblem(
+                blocks=(NonNegBlock(1), blk),
+                c=(np.zeros(1), obj(value)),
+                coefs=(Entries([0], [0], [0], [1.0]), Entries([0], [1], [1], [1.0])),
                 b=[1.0],
             )
 
@@ -689,13 +709,13 @@ def motzkin_blocks():
      motzkin_blocks],
     ids=["dense-3-3", "motzkin-7"],
 )
-def test_schur_complement_at_late_iterates(make):
+def test_schur_complement_at_late_iterates(monkeypatch, make):
     # The iterate before the last one, where W is badly conditioned and the
     # diagonal of M spans many orders of magnitude: every entry must still
     # match to roundoff of its Cauchy-Schwarz bound.
     problem = make()
-    n = solve(problem).iterations
-    sol = solve(problem, SolverOptions(max_iter=n - 1))
+    monkeypatch.setattr(sdp, "_MAX_ITER", solve(problem).iterations - 1)
+    sol = solve(problem)
     dense = []
     for x, e in zip(sol.primal, problem.coefs):
         a = np.zeros((problem.m,) + x.shape)
@@ -708,7 +728,7 @@ def test_schur_complement_at_late_iterates(make):
     assert np.all(np.abs(schur - ref) <= 1e-12 * scale)
 
 
-def test_blocked_cholesky_at_late_iterates():
+def test_blocked_cholesky_at_late_iterates(monkeypatch):
     # Late in a Motzkin-like solve at d = 11 (78 constraints, two block
     # columns) the diagonal of M spans 1e13 to 1e17 and the diagonal blocks
     # are so ill-conditioned that their inverses are accurate only to about
@@ -719,7 +739,8 @@ def test_blocked_cholesky_at_late_iterates():
     problem = approx._assemble_moment_side(f, bp, approx._sign_partition(f, bp), f.n + 1)
     checked = 0
     for it in range(10, solve(problem).iterations):
-        sol = solve(problem, SolverOptions(max_iter=it))
+        monkeypatch.setattr(sdp, "_MAX_ITER", it)
+        sol = solve(problem)
         m = sdp._schur_complement(problem.blocks, problem.coefs, sol.primal, sol.slack, problem.m)[0]
         try:
             l = sdp._blocked_cholesky(m)[0]

@@ -101,9 +101,9 @@ def print_solves() -> None:
     solve = approx.solve
     label, count = "", 0
 
-    def recorded(problem, options=None):
+    def recorded(*args, **kwargs):
         nonlocal count
-        sol = solve(problem, options)
+        sol = solve(*args, **kwargs)
         arrays = [*sol.primal, sol.dual, *sol.slack]
         h = digest(*(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays))
         print(f"solve {label} #{count} {sol.status.value} {sol.stop_reason.value} "
