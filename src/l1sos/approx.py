@@ -34,6 +34,7 @@ fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,29 +334,27 @@ def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
     so an optimum may be averaged over them (Gatermann & Parrilo 2004).
     Basis monomials beta, gamma then share a block exactly when
     beta + gamma mod 2 lies in V, and alpha keeps its constraint exactly
-    when alpha mod 2 does.  Parities are bitmasks (bit i is alpha_i mod 2),
-    and a parity's coset of V is named by reducing it against an xor basis
-    of V with distinct leading bits.
+    when alpha mod 2 does.  Parities are 0/1 rows, column i holding
+    alpha_i mod 2, so any number of variables is exact.  Gaussian
+    elimination over GF(2) reduces f's parities and those of every product
+    monomial together, one pivot column at a time; a product parity lies in
+    V exactly when it reduces to zero.
     """
-    span: list[int] = []
-
-    def coset(mono: Monomial) -> int:
-        p = sum(1 << i for i, e in enumerate(mono) if e & 1)
-        for v in span:
-            p = min(p, p ^ v)
-        return p
-
-    for mono in f.terms:
-        p = coset(mono)
-        if p:
-            span.append(p)
-            span.sort(reverse=True)
-    keep = np.array([coset(mono) == 0 for mono in bp.product_basis.monomials])
+    span = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.n) % 2 == 1
+    reduced = bp.product_basis.exponents % 2 == 1
+    for i in range(f.n):
+        hit = np.flatnonzero(span[:, i])
+        if hit.size:
+            pivot = span[hit[0]].copy()
+            span[hit] ^= pivot
+            reduced[reduced[:, i]] ^= pivot
+    keep = ~reduced.any(axis=1)
     # beta_i and beta_j share a class exactly when their product keeps its
-    # constraint.  Classes go in the order of their first basis monomial.
+    # constraint.  Classes go in the order of their first basis monomial,
+    # which is the first of its own class.
     first = keep[bp.labels].argmax(axis=1)
-    classes = tuple(np.flatnonzero(first == i) for i in sorted(set(first.tolist())))
-    return _SignPartition(classes, np.flatnonzero(keep))
+    leaders = np.flatnonzero(first == np.arange(first.size))
+    return _SignPartition(tuple(np.flatnonzero(first == i) for i in leaders), np.flatnonzero(keep))
 
 
 def _assemble_moment_side(
@@ -461,7 +460,7 @@ def _extract_certificate(gram: np.ndarray, bp: BasisProducts, g: Polynomial) -> 
 def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
     n = f.n
     basis2d = enumerate_basis(n, 2 * d)
-    s = len(enumerate_basis(n, d))
+    s = math.comb(n + d, n)
     cert = SosCertificate((), (), 0.0)
     report = SolverReport(Status.OPTIMAL, 0, 0.0, 0.0, 0.0, StopReason.CONVERGED)
     return ApproximationResult(

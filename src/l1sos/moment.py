@@ -17,23 +17,35 @@ mapped to its constraint, is the constraint data of the conic programs in
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .poly import Monomial, Polynomial, grlex_key
+from .poly import Monomial, Polynomial
+
+# Entries kept by each of the two memoized builders below.  A process sees
+# few (n, d) pairs: Motzkin-like at d = 3..11 needs 15 bases and 9 label
+# matrices.
+_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """Graded-lex ordered index of all monomials of total degree <= degree."""
+    """Graded-lex ordered index of all monomials of total degree <= degree.
+
+    ``exponents`` holds the monomials as one read-only (size, n) integer
+    array.  Bases are shared between callers and must not be modified."""
 
     n: int
     degree: int
     monomials: tuple[Monomial, ...]
-    index: dict[Monomial, int]
+    index: Mapping[Monomial, int]
+    exponents: np.ndarray
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -42,32 +54,30 @@ class MonomialBasis:
         return self.index[tuple(mono)]
 
 
-def _compositions(total: int, n: int) -> list[Monomial]:
-    """All exponent vectors of length n summing to total."""
-    if n == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        out.extend((head,) + rest for rest in _compositions(total - head, n - 1))
-    return out
-
-
+@lru_cache(maxsize=_CACHE_SIZE)
 def enumerate_basis(n: int, d: int) -> MonomialBasis:
     """All monomials of degree <= d in n variables, graded-lex ordered.
 
     The zero exponent vector always has index 0 and the size is
-    binomial(n + d, n).
+    binomial(n + d, n).  The result is built once per (n, d) and shared.
     """
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
-    monos: list[Monomial] = []
-    for total in range(d + 1):
-        monos.extend(sorted(_compositions(total, n), key=grlex_key))
-    index = {m: i for i, m in enumerate(monos)}
-    assert len(monos) == math.comb(n + d, n)
-    return MonomialBasis(n, d, tuple(monos), index)
+    # The multisets of t variables, as sorted index tuples in lexicographic
+    # order, are the degree-t monomials in graded-lex order; counting each
+    # variable in its tuple gives the exponent vector.
+    sizes = [math.comb(n - 1 + t, t) for t in range(d + 1)]
+    total = sum(sizes)
+    chain = itertools.chain.from_iterable
+    combos = (itertools.combinations_with_replacement(range(n), t) for t in range(d + 1))
+    variables = np.fromiter(chain(chain(combos)), dtype=np.int64)
+    rows = np.repeat(np.arange(total), np.repeat(np.arange(d + 1), sizes))
+    exps = np.bincount(rows * n + variables, minlength=total * n).reshape(total, n)
+    exps.flags.writeable = False
+    monos = tuple(map(tuple, exps.tolist()))
+    return MonomialBasis(n, d, monos, MappingProxyType(dict(zip(monos, range(total)))), exps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +88,8 @@ class BasisProducts:
     B_alpha is the 0/1 matrix ``labels == index(alpha)``.  Gram
     coefficients sum the groups of equal labels, each in row-major order;
     moment matrices index y by the labels, and the constraint rows of the
-    conic programs are the labels of the upper triangle.
+    conic programs are the labels of the upper triangle.  ``labels`` is
+    read-only: one instance per (n, d) is shared by every caller.
     """
 
     basis: MonomialBasis
@@ -89,17 +100,30 @@ class BasisProducts:
         return (self.labels == self.product_basis.index_of(alpha)).astype(float)
 
     @cached_property
-    def _groups(self) -> list[np.ndarray]:
-        """The flat positions of each label, in row-major order."""
+    def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The labels grouped by the size k of their class, each group with
+        the (count x k) matrix of its classes' flat positions, row-major
+        within each class."""
         flat = self.labels.ravel()
         order = np.argsort(flat, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(flat))[:-1])
+        sizes = np.bincount(flat)
+        starts = np.cumsum(sizes) - sizes
+        groups = []
+        for k in np.flatnonzero(np.bincount(sizes)):
+            labels = np.flatnonzero(sizes == k)
+            groups.append((labels, order[starts[labels, None] + np.arange(k)]))
+        return tuple(groups)
 
     def gram_coefficients(self, x: np.ndarray) -> np.ndarray:
         """All coefficients <X, B_alpha>, ordered like the product basis,
-        each summed over its group in row-major order."""
+        each summed over its group in row-major order.  One row sum per
+        class size: each row is the same pairwise sum of the same values as
+        a sum over the group alone, so every bit agrees with it."""
         flat = np.asarray(x, dtype=float).ravel()
-        return np.array([flat[positions].sum() for positions in self._groups])
+        out = np.zeros(len(self.product_basis))
+        for labels, positions in self._groups:
+            out[labels] = flat[positions].sum(axis=1)
+        return out
 
     def gram_polynomial(self, x: np.ndarray) -> Polynomial:
         """The polynomial with coefficients <X, B_alpha>."""
@@ -110,18 +134,22 @@ class BasisProducts:
         )
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def basis_products(n: int, d: int) -> BasisProducts:
     """Build the label matrix of the degree-d basis by looking every sum
-    beta_i + beta_j up among the degree-2d monomials."""
+    beta_i + beta_j up among the degree-2d monomials.  The result is built
+    once per (n, d) and shared."""
     basis, product_basis = enumerate_basis(n, d), enumerate_basis(n, 2 * d)
     # Exponent vectors compare as byte strings; the degree-d basis is a
     # prefix of the graded degree-2d one.
-    exps = np.array(product_basis.monomials, dtype=np.int64)
+    exps = product_basis.exponents
     keys = exps.view(f"V{8 * n}")[:, 0]
     top = exps[: len(basis)]
     sums = (top[:, None] + top[None, :]).view(keys.dtype)[..., 0]
     order = np.argsort(keys)
-    return BasisProducts(basis, product_basis, order[np.searchsorted(keys, sums, sorter=order)])
+    labels = order[np.searchsorted(keys, sums, sorter=order)]
+    labels.flags.writeable = False
+    return BasisProducts(basis, product_basis, labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -115,6 +115,21 @@ class TestBestApproximation:
         assert res.lam[2] == pytest.approx(5.367e-3, rel=0.05)
         assert verify(res, motzkin, 3).all_passed
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_cold_and_warm_cache_bit_identical(self, motzkin, d):
+        # The shared bases and label matrices change no bit of a solve.
+        enumerate_basis.cache_clear()
+        basis_products.cache_clear()
+        cold = best_l1_sos_approximation(motzkin, d)
+        assert basis_products.cache_info().currsize == 1
+        warm = best_l1_sos_approximation(motzkin, d)
+        assert basis_products.cache_info().hits >= 1
+        assert warm.rho == cold.rho
+        assert np.array_equal(warm.lam, cold.lam)
+        assert np.array_equal(warm.gram, cold.gram)
+        assert np.array_equal(warm.y_star.values, cold.y_star.values)
+        assert warm.y_star.basis is cold.y_star.basis
+
     def test_already_sos_fixed_point(self):
         f = x_(1, 0) ** 2
         res = best_l1_sos_approximation(f, 1)
@@ -148,6 +163,8 @@ class TestBestApproximation:
         res = best_l1_sos_approximation(Polynomial.zero(2), 3)
         assert res.rho == 0.0
         assert res.g.is_zero()
+        assert res.gram.shape == (10, 10)
+        assert res.y_star.basis is enumerate_basis(2, 6)
         assert np.all(res.lam == 0.0)
         assert res.solver.iterations == 0
 

@@ -14,6 +14,7 @@ from l1sos import (
     moment_matrix,
     riesz,
 )
+from l1sos.poly import grlex_key
 
 from conftest import random_polynomial
 
@@ -36,12 +37,41 @@ class TestEnumerateBasis:
             assert basis.index_of(mono) == i
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            enumerate_basis(0, 2)
+        # Raised on every call: a failed build is not cached.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_basis(0, 2)
         with pytest.raises(ValueError):
             enumerate_basis(-1, 2)
         with pytest.raises(ValueError):
             enumerate_basis(2, -1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_sorted_compositions(self, n):
+        # The reference: every exponent vector of each total degree by
+        # recursion, sorted by grlex_key.
+        def compositions(total, n):
+            if n == 1:
+                return [(total,)]
+            return [
+                (head,) + rest for head in range(total + 1) for rest in compositions(total - head, n - 1)
+            ]
+
+        for d in range(9):
+            ref = [m for t in range(d + 1) for m in sorted(compositions(t, n), key=grlex_key)]
+            basis = enumerate_basis(n, d)
+            assert basis.monomials == tuple(ref)
+            assert all(type(e) is int for m in basis.monomials for e in m)
+            assert dict(basis.index) == {m: i for i, m in enumerate(ref)}
+            assert basis.exponents.tolist() == [list(m) for m in ref]
+
+    def test_shared_and_read_only(self):
+        basis = enumerate_basis(3, 2)
+        assert enumerate_basis(3, 2) is basis
+        with pytest.raises(ValueError):
+            basis.exponents[0, 0] = 1
+        with pytest.raises(TypeError):
+            basis.index[(9, 9, 9)] = 0
 
 
 def reference_pairs(n, d):
@@ -114,6 +144,30 @@ class TestBasisProducts:
             poly = bp.gram_polynomial(x)
             assert poly == Polynomial(n, dict(zip(pairs, ref)))
             assert list(poly.terms) == list(pairs)
+
+    @pytest.mark.parametrize("n,d", [(2, 11), (3, 5), (4, 4), (1, 30), (2, 20)])
+    def test_gram_coefficients_wide_magnitudes(self, n, d):
+        # Entries from 1e-8 to 1e8 in size, with classes of 8 and more
+        # entries, where numpy sums pairwise, and of more than 128 at
+        # (2, 20), where it splits the sum: the size-grouped row sums must
+        # keep every bit of summing each group alone.
+        rng = np.random.default_rng(7 * n + d)
+        bp = basis_products(n, d)
+        pairs = reference_pairs(n, d)
+        assert max(ij.shape[0] for ij in pairs.values()) >= 8
+        for _ in range(3):
+            shape = (len(bp.basis),) * 2
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+            ref = np.array([x[ij[:, 0], ij[:, 1]].sum() for ij in pairs.values()])
+            assert np.array_equal(bp.gram_coefficients(x), ref)
+
+    def test_shared_and_read_only(self):
+        bp = basis_products(2, 3)
+        assert basis_products(2, 3) is bp
+        assert bp.basis is enumerate_basis(2, 3)
+        assert bp.product_basis is enumerate_basis(2, 6)
+        with pytest.raises(ValueError):
+            bp.labels[0, 0] = 1
 
     def test_outer_product_identity(self):
         # v_d(x) v_d(x)^T must equal sum_alpha x^alpha B_alpha pointwise.

@@ -21,7 +21,7 @@ from l1sos import (
     verify,
 )
 
-from conftest import dense_polynomial
+from conftest import dense_polynomial, random_polynomial
 
 # Reduced and unreduced optima must agree to this absolute tolerance.
 AGREE_TOL = 1e-7
@@ -36,6 +36,37 @@ EVEN_UNIVARIATE = T**4 - 3.0 * T**2 + 1.0
 def partition_of(f, d):
     bp = basis_products(f.n, d)
     return bp, approx._sign_partition(f, bp)
+
+
+def reference_partition(f, bp):
+    """The partition with parities as Python-int bitmasks (bit i is
+    alpha_i mod 2), each reduced against an xor basis of V with distinct
+    leading bits: exact for any number of variables."""
+    span = []
+
+    def coset(mono):
+        p = sum(1 << i for i, e in enumerate(mono) if e & 1)
+        for v in span:
+            p = min(p, p ^ v)
+        return p
+
+    for mono in f.terms:
+        p = coset(mono)
+        if p:
+            span.append(p)
+            span.sort(reverse=True)
+    keep = np.array([coset(mono) == 0 for mono in bp.product_basis.monomials])
+    first = keep[bp.labels].argmax(axis=1)
+    classes = [np.flatnonzero(first == i).tolist() for i in sorted(set(first.tolist()))]
+    return classes, np.flatnonzero(keep).tolist()
+
+
+def assert_matches_reference(f, d):
+    bp, part = partition_of(f, d)
+    classes, invariant = reference_partition(f, bp)
+    assert [idx.tolist() for idx in part.classes] == classes
+    assert part.invariant.tolist() == invariant
+    return part
 
 
 class TestPartition:
@@ -73,6 +104,27 @@ class TestPartition:
         assert np.all(res.y_star.values[off] == 0.0)
         assert res.gram.shape == (15, 15)
         assert res.y_star.degree == 8
+
+
+class TestPartitionReference:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_sparse(self, n):
+        rng = np.random.default_rng(50 + n)
+        d = 2 if n > 3 else 3
+        for _ in range(12):
+            f = random_polynomial(rng, n, 2 * d, n_terms=int(rng.integers(1, 5)))
+            assert_matches_reference(f, d)
+
+    def test_more_variables_than_a_machine_word(self):
+        # Variables 64 and 65 have parity bits past any 64-bit mask.  V is
+        # spanned by x3, x0 + x65 and x64 + x65, so 1 and x3 share a class,
+        # x0, x64 and x65 share one, and the other 62 variables are alone.
+        n = 66
+        x = [Polynomial.variable(n, i) for i in range(n)]
+        f = 1.0 + x[0] * x[65] + x[64] * x[65] + x[3]
+        part = assert_matches_reference(f, 1)
+        assert [idx.tolist() for idx in part.classes[:2]] == [[0, 4], [1, 65, 66]]
+        assert len(part.classes) == 64
 
 
 class TestDenseInputIsUnchanged:
