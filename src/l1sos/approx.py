@@ -63,8 +63,10 @@ from .sdp import (
 # worse is treated as a failed solve.
 _CLIP_TOL = 1e-9
 _EIG_CLIP_REL = 1e-9
-# l1 distance of g / ||g||_1 from the SOS cone below which is_sos calls g SOS.
-_SOS_RHO_TOL = 1e-7
+# is_sos accepts a ray as a witness only if L_y(g / ||g||_1) < -_WITNESS_MARGIN.
+# A ray whose moment matrix is PSD only to the 1e-8 tolerance of _psd_check
+# can show a small negative value on an SOS g.
+_WITNESS_MARGIN = 1e-7
 
 
 class SolverFailure(RuntimeError):
@@ -103,12 +105,12 @@ class SosRefutation:
     ``value`` = L_y(g) < 0 (no such y exists for SOS g).
 
     :func:`is_sos` returns the Farkas ray of its membership solve, scaled to
-    largest corner moment 1, and the bounded program's optimal moment
-    vector only when the ray fails :func:`verify`'s witness checks.  Either
-    way the corner moments are at most 1, so -value / ||g||_1 is a lower
-    bound on rho_{d0}(g / ||g||_1).  The ray is the first one the solve
-    meets, not the best, so the bound can be loose: on Motzkin-like it is
-    0.0087 / ||g||_1 against rho_{d0}(g / ||g||_1) = 0.0162 / ||g||_1."""
+    largest corner moment 1, and only when it passes :func:`verify`'s
+    witness checks with a margin.  The corner moments are at most 1, so
+    -value / ||g||_1 is a lower bound on rho_{d0}(g / ||g||_1).  The ray is
+    the first one the solve meets, not the best, so the bound can be loose:
+    on Motzkin-like it is 0.0087 / ||g||_1 against
+    rho_{d0}(g / ||g||_1) = 0.0162 / ||g||_1."""
 
     witness: MomentVector
     value: float
@@ -287,10 +289,10 @@ def _psd_check(name: str, mat) -> Check:
     return Check(name, res <= tol, res, tol)
 
 
-def _require(sol: ConicSolution, *checks: Check) -> None:
-    """Raise SolverFailure, with ``sol`` attached, unless the solve is
-    optimal and every check passes, the first failed check named."""
-    if sol.status != Status.OPTIMAL:
+def _require(sol: ConicSolution, *checks: Check, status: Status = Status.OPTIMAL) -> None:
+    """Raise SolverFailure, with ``sol`` attached, unless the solve ended
+    with ``status`` and every check passes, the first failed check named."""
+    if sol.status != status:
         raise SolverFailure(
             f"conic solve ended with status {sol.status.value}, stopped by "
             f"{sol.stop_reason.value}, after {sol.iterations} iterations (gap={sol.gap:.3e}, "
@@ -570,16 +572,17 @@ def is_sos(g: Polynomial, d: int) -> SosCertificate | SosRefutation:
     after a full dual step, with M_{d0}(y) PSD and L_y(g) < 0; the first
     such ray is taken, not the best (see :class:`SosRefutation`).  Scaled
     to largest corner moment 1, the ray is the witness if it passes
-    :func:`verify`'s witness checks with L_y(g / ||g||_1) < -1e-7; that is
-    a lower bound on the distance of g / ||g||_1 at d0, so the bounded
-    program would refute too.
-    Any other outcome is settled by the bounded moment-side program at d0:
-    distance ~ 0 means g is SOS and supplies the Gram matrix, positive
-    distance supplies its optimal moment vector as the witness.  Both
-    programs are split into sign-symmetry blocks and solved for
-    g / ||g||_1, so the answer and the distance threshold do not depend on
-    g's scale; the certificate weights and the witness value are in g's
-    units, and the certificate residual is taken against g itself.
+    :func:`verify`'s witness checks with L_y(g / ||g||_1) < -1e-7.
+
+    There is one solve and no second opinion.  Any other outcome raises
+    SolverFailure with the solution attached: a solve that ends neither
+    way, or a ray that fails a witness check, which is then named in
+    ``check``.  Near the boundary of the SOS cone, where double precision
+    cannot tell the two answers apart, that refusal is the answer.  The
+    program is split into sign-symmetry blocks and solved for g / ||g||_1,
+    so the answer does not depend on g's scale; the certificate weights
+    and the witness value are in g's units, and the certificate residual
+    is taken against g itself.
     """
     _check_degree(g, d)
     if g.is_zero():
@@ -590,16 +593,11 @@ def is_sos(g: Polynomial, d: int) -> SosCertificate | SosRefutation:
     bp, gram, _, ray, sol = _moment_side_solution(unit, d0, 0)
     if sol.status == Status.OPTIMAL:
         return _extract_certificate(norm * gram, bp, g)
-    if sol.status == Status.INFEASIBLE:
-        corner = max(ray.value(mono) for mono in _perturbation_monomials(g.n, 2 * d0))
-        if 0.0 < corner < np.inf:
-            ray = MomentVector(ray.basis, ray.values / corner)
-            if all(c.passed for c in _witness_checks(ray, unit, bp, -_SOS_RHO_TOL)):
-                return SosRefutation(witness=ray, value=riesz(ray, g))
-    result = best_l1_sos_approximation(unit, d0)
-    if result.rho > _SOS_RHO_TOL:
-        return SosRefutation(witness=result.y_star, value=riesz(result.y_star, g))
-    return _extract_certificate(norm * result.gram, bp, g)
+    corner = max(ray.value(mono) for mono in _perturbation_monomials(g.n, 2 * d0))
+    if 0.0 < corner < np.inf:
+        ray = MomentVector(ray.basis, ray.values / corner)
+    _require(sol, *_witness_checks(ray, unit, bp, -_WITNESS_MARGIN), status=Status.INFEASIBLE)
+    return SosRefutation(witness=ray, value=riesz(ray, g))
 
 
 def uniform_sos_perturbation(f: Polynomial, d: int) -> tuple[float, Polynomial]:

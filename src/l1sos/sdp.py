@@ -39,16 +39,18 @@ randomized pivoting, so identical inputs produce identical iterate
 sequences.
 
 A solve stops when the gap and the complementarity are at most
-1e-8 (1 + |b'y|) and both relative residuals at most 1e-8, when the
-iterates diverge along an improving ray, or after 200 iterations.  The
-rule is fixed (_GAP_TOL, _FEAS_TOL, _MAX_ITER).  A program whose objective
-is zero in every block, a pure feasibility problem, stops earlier, at its
-first exact certificate: an interior X after a full primal step, returned
-with the optimal dual y = 0, S = 0, or a y after a full dual step with
-S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray that proves
-infeasibility.  Every solution names the rule that ended it and carries
-its trace: the iterate statistics of every iteration and the wall time of
-each step's phases.
+1e-8 (1 + |b'y|) and both relative residuals at most 1e-8, or after 200
+iterations.  The rule is fixed (_GAP_TOL, _FEAS_TOL, _MAX_ITER).  A program
+whose objective is zero in every block, a pure feasibility problem, stops
+earlier, at its first exact certificate: an interior X after a full primal
+step, returned with the optimal dual y = 0, S = 0, or a y after a full dual
+step with S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray that
+proves infeasibility.  That ray is the only infeasibility verdict: a
+program with a nonzero objective and no optimum is not detected as such,
+and its solve ends when an iterate stops being finite, a step fails or the
+iterations run out.  Every solution names the rule that ended it and
+carries its trace: the iterate statistics of every iteration and the wall
+time of each step's phases.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -64,10 +66,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Divergence factor for the infeasibility heuristic: iterates this far above
-# the initialization scale with a persistent objective ray are treated as a
-# Farkas-type certificate.
-_DIVERGENCE_FACTOR = 1e8
 _REG_INITIAL = 1e-12
 _REG_MAX = 1e-6
 # Block size of the Cholesky factorization and substitution of the Schur
@@ -93,7 +91,10 @@ class Status(str, enum.Enum):
 
 
 class StopReason(str, enum.Enum):
-    """The rule that ended a solve."""
+    """The rule that ended a solve.  Each status has its own reasons:
+    ``OPTIMAL`` ends ``CONVERGED`` or ``FEASIBLE_POINT``, ``INFEASIBLE``
+    only ``FARKAS_RAY``, ``MAX_ITERATIONS`` only ``MAX_ITERATIONS``, and
+    ``NUMERICAL_FAILURE`` ``NOT_FINITE`` or ``STEP_FAILED``."""
 
     # Gap, complementarity and both residuals below their tolerances.
     CONVERGED = "converged"
@@ -101,8 +102,6 @@ class StopReason(str, enum.Enum):
     FEASIBLE_POINT = "feasible_point"
     # Zero objective: S = -A^T(y) after a full dual step, with b'y > 0.
     FARKAS_RAY = "farkas_ray"
-    # The iterates ran away along an improving ray.
-    DIVERGENCE = "divergence"
     MAX_ITERATIONS = "max_iterations"
     NOT_FINITE = "not_finite"
     # The Schur complement did not factor, or no step could be taken.
@@ -316,12 +315,10 @@ class ConicSolution:
     primal and slack block is positive semidefinite up to roundoff.  On a
     zero objective it may stop at a feasible point (``stop_reason`` is
     ``FEASIBLE_POINT``): X is then interior and y = 0, S = 0, so gap and
-    dual residual are exactly 0.  ``Status.INFEASIBLE`` comes with a
-    Farkas-type certificate, returned as the final iterate: on a zero
-    objective (``FARKAS_RAY``) y has -A^T(y) = S, interior to K up to
-    roundoff, and b'y > 0; otherwise (``DIVERGENCE``) the iterates blew up
-    along an improving ray, which flags primal infeasibility or
-    unboundedness.
+    dual residual are exactly 0.  ``Status.INFEASIBLE`` happens only on a
+    zero objective and always means ``FARKAS_RAY``: the final iterate's y
+    has -A^T(y) = S, interior to K up to roundoff, and b'y > 0, which
+    proves that no feasible X exists.
 
     ``trace`` holds one row per iterate and ``phase_times`` one row per step
     taken from it.
@@ -643,17 +640,6 @@ def solve(problem: ConicProblem) -> ConicSolution:
             and feas_d <= _FEAS_TOL
         ):
             status, reason = Status.OPTIMAL, StopReason.CONVERGED
-            break
-
-        # Divergence certificates: the dual (resp. primal) iterate running
-        # away along an improving ray while staying cone-feasible flags
-        # primal infeasibility (resp. unboundedness).
-        y_inf = float(np.max(np.abs(y))) if m else 0.0
-        x_inf = max(float(np.max(np.abs(x))) for x in xs)
-        if (y_inf > _DIVERGENCE_FACTOR * tau and dobj > 1e-8 * y_inf * (1.0 + b_inf)) or (
-            x_inf > _DIVERGENCE_FACTOR * tau and pobj < -1e-8 * x_inf * (1.0 + c_inf)
-        ):
-            status, reason = Status.INFEASIBLE, StopReason.DIVERGENCE
             break
 
         if it == _MAX_ITER:

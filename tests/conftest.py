@@ -1,6 +1,6 @@
 import pytest
 
-from l1sos import Polynomial, enumerate_basis, motzkin_like
+from l1sos import Polynomial, enumerate_basis, motzkin_like, uniform_sos_perturbation
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,11 @@ def dense_polynomial(rng, n, degree) -> Polynomial:
     """Every monomial of degree <= degree with a standard normal coefficient."""
     basis = enumerate_basis(n, degree)
     return Polynomial(n, dict(zip(basis.monomials, rng.standard_normal(len(basis)))))
+
+
+def near_motzkin(t: float) -> Polynomial:
+    """Motzkin-like + t eps (1 + x1^6 + x2^6), eps its uniform perturbation
+    at d = 3: SOS exactly when t >= 1."""
+    f = motzkin_like()
+    eps = uniform_sos_perturbation(f, 3)[0]
+    return f + t * eps * Polynomial(2, {(0, 0): 1.0, (6, 0): 1.0, (0, 6): 1.0})

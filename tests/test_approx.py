@@ -29,7 +29,7 @@ from l1sos import (
 from l1sos import approx, sdp
 from l1sos.approx import ApproximationResult
 
-from conftest import dense_polynomial, random_polynomial
+from conftest import dense_polynomial, near_motzkin, random_polynomial
 
 
 def x_(n, i):
@@ -343,16 +343,21 @@ class TestFarkasRayRefutation:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tamper", ["zero", "positive_value", "not_psd"])
-    def test_fallback_when_ray_fails_check(self, motzkin, monkeypatch, tamper):
-        # The ray is replaced by y = 0, which has no positive corner moment;
-        # by y = 1 at the constant, which has a PSD moment matrix but
-        # L_y(g) = g(0) > 0; or by y = 1 at 1 and x1^2 x2^2, which has
-        # L_y(g) = 1/27 - 1 < 0 but the indefinite 2 x 2 minor [[0, 1], [1, 0]]
-        # at (x1, x1 x2^2).  Each falls back to the bounded program's
-        # refutation, bit for bit.  Motzkin-like keeps the constraints of the
-        # even monomials, in basis order.
+    def test_refused_when_ray_fails_check(self, motzkin, monkeypatch, tamper):
+        # The ray is replaced by y = 0, which has no positive corner moment
+        # and L_y(g) = 0; by y = 1 at the constant, which has a PSD moment
+        # matrix but L_y(g) = g(0) > 0; or by y = 1 at 1 and x1^2 x2^2, which
+        # has L_y(g) = 1/27 - 1 < 0 but the indefinite 2 x 2 minor
+        # [[0, 1], [1, 0]] at (x1, x1 x2^2).  Each is refused after the one
+        # solve, on the witness check it fails.  Motzkin-like keeps the
+        # constraints of the even monomials, in basis order.
         even = [m for m in enumerate_basis(2, 6).monomials if not any(e % 2 for e in m)]
         ones = {"zero": [], "positive_value": [(0, 0)], "not_psd": [(0, 0), (2, 2)]}[tamper]
+        failed = {
+            "zero": "witness_value_negative",
+            "positive_value": "witness_value_negative",
+            "not_psd": "witness_moment_psd",
+        }[tamper]
 
         def replace_dual(sol):
             if sol.status == Status.INFEASIBLE:
@@ -360,13 +365,13 @@ class TestFarkasRayRefutation:
                 sol.dual[[even.index(m) for m in ones]] = -1.0
 
         statuses = counting_solves(monkeypatch, replace_dual)
-        ref = is_sos(motzkin, 3)
-        assert statuses == [Status.INFEASIBLE, Status.OPTIMAL]
-        monkeypatch.undo()
-        bounded = best_l1_sos_approximation(motzkin * (1.0 / motzkin.l1_norm()), 3)
-        assert isinstance(ref, SosRefutation)
-        assert np.array_equal(ref.witness.values, bounded.y_star.values)
-        assert ref.value == riesz(bounded.y_star, motzkin)
+        with pytest.raises(SolverFailure) as err:
+            is_sos(motzkin, 3)
+        assert statuses == [Status.INFEASIBLE]
+        assert err.value.check.name == failed
+        assert not err.value.check.passed
+        assert err.value.solution.stop_reason is StopReason.FARKAS_RAY
+        assert failed.replace("_", " ") in str(err.value)
 
 
 class TestMembershipExits:
@@ -398,16 +403,39 @@ class TestMembershipExits:
         assert verify(ref, motzkin, 3).all_passed
 
     @pytest.mark.parametrize("t", [0.5, 0.9, 0.99, 0.999, 0.9999, 1.001, 1.01])
-    def test_near_sos_decided_in_one_solve(self, monkeypatch, motzkin, t):
-        # Motzkin-like + t eps (1 + x1^6 + x2^6), eps its uniform perturbation
-        # at d = 3: SOS exactly when t >= 1.
-        eps = uniform_sos_perturbation(motzkin, 3)[0]
-        g = motzkin + t * eps * (1.0 + x_(2, 0) ** 6 + x_(2, 1) ** 6)
+    def test_near_sos_decided_in_one_solve(self, monkeypatch, t):
+        g = near_motzkin(t)
         sols = self.solves(monkeypatch)
         answer = is_sos(g, 3)
         assert len(sols) == 1
         assert answer.is_sos == (t > 1.0)
         assert verify(answer, g, 3).all_passed
+
+    @pytest.mark.parametrize(
+        "source,delta",
+        [("motzkin", 1e-5), ("motzkin", 1e-6), ("dense_n2_d2", 1e-7)],
+        ids=["motzkin-1e-5", "motzkin-1e-6", "dense_n2_d2-1e-7"],
+    )
+    def test_undecidable_input_refused(self, monkeypatch, source, delta):
+        # f + (1 - delta)(g - f), with g an SOS approximant of f on the
+        # boundary of the cone: the uniform one of Motzkin-like, or the best
+        # one of a dense (2, 2) input.  Double precision cannot decide these,
+        # so the answer is a refusal.  The solve ends at a Farkas ray that
+        # has a PSD moment matrix but misses the witness margin, and no
+        # second solve turns the miss into an SOS verdict.
+        if source == "motzkin":
+            g, d = near_motzkin(1.0 - delta), 3
+        else:
+            f = dense_polynomial(np.random.default_rng(11), 2, 4)
+            approximant = best_l1_sos_approximation(f, 2).g
+            g, d = f + (1.0 - delta) * (approximant - f), 2
+        sols = self.solves(monkeypatch)
+        with pytest.raises(SolverFailure) as err:
+            is_sos(g, d)
+        assert len(sols) == 1
+        assert err.value.solution is sols[0]
+        assert err.value.solution.stop_reason is StopReason.FARKAS_RAY
+        assert err.value.check.name == "witness_value_negative"
 
 
 class TestVerifySosAnswers:

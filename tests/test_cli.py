@@ -11,6 +11,8 @@ from l1sos.approx import ApproximationResult, SosCertificate, motzkin_like
 from l1sos.cli import main
 from l1sos.moment import MomentVector, enumerate_basis
 
+from conftest import near_motzkin
+
 
 @pytest.fixture()
 def motzkin_file(tmp_path):
@@ -98,6 +100,21 @@ class TestCheckSosCommand:
         assert data["is_sos"] is False
         assert data["certificate"] is None
         assert data["witness"]["riesz_value"] < -1e-9
+
+    def test_undecidable_input_refused(self, tmp_path, capsys):
+        # Motzkin-like + (1 - 1e-5) eps (1 + x1^6 + x2^6) lies too close to
+        # the SOS cone to decide: no verdict is printed and no report is
+        # written.
+        path = tmp_path / "near.txt"
+        path.write_text(to_text(near_motzkin(1.0 - 1e-5)))
+        out = tmp_path / "check.json"
+        code = main(["check-sos", "--input", str(path), "--degree", "3",
+                     "--format", "json", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "witness value negative" in captured.err
+        assert not out.exists()
 
 
 class TestBaselineCommand:

@@ -280,17 +280,28 @@ class TestStatuses:
         assert (last.primal_objective, last.feas_primal) == (sol.primal_objective, sol.feas_primal)
 
     def test_nonzero_objective_diverges(self):
-        # min x s.t. x = -1, x >= 0: infeasible, but the objective is not
-        # zero, so only the divergence test ends the solve.
-        problem = ConicProblem(
+        # min x s.t. x = -1, x >= 0 is infeasible, and min -x1 s.t.
+        # x1 - x2 = 0, x >= 0 is unbounded.  Neither objective is zero, so
+        # no Farkas ray ends the solve: the iterates grow until they are no
+        # longer finite.  A Farkas ray is the only infeasibility verdict.
+        infeasible = ConicProblem(
             blocks=(NonNegBlock(1),),
             c=(np.ones(1),),
             coefs=(Entries([0], [0], [0], [1.0]),),
             b=[-1.0],
         )
-        sol = solve(problem)
-        assert sol.status is Status.INFEASIBLE
-        assert sol.stop_reason is StopReason.DIVERGENCE
+        unbounded = ConicProblem(
+            blocks=(NonNegBlock(2),),
+            c=(np.array([-1.0, 0.0]),),
+            coefs=(Entries([0, 0], [0, 1], [0, 1], [1.0, -1.0]),),
+            b=[0.0],
+        )
+        for problem in (infeasible, unbounded):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve(problem)
+            assert sol.status is Status.NUMERICAL_FAILURE
+            assert sol.stop_reason is StopReason.NOT_FINITE
+        assert "divergence" not in {reason.value for reason in StopReason}
 
     def test_not_finite(self):
         # The starting point's complementarity tau^2 overflows.
