@@ -29,13 +29,16 @@ one function that returns a :class:`Check` and never raises, with residual
 inf for an input that does not fit: :func:`_gram_check`, :func:`_gap_check`
 and :func:`_psd_check`.  The pipeline hands them to :func:`_require`, which
 raises every SolverFailure, so it refuses exactly what :func:`verify` would
-fail.
+fail.  The approximation and the baseline are accepted by one call of it,
+in :func:`_accepted_solve`, and an accepted approximation keeps the
+:class:`~l1sos.sdp.ConicSolution` of its solve, as a refusal does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,16 +123,6 @@ class SosRefutation:
         return False
 
 
-@dataclass(frozen=True)
-class SolverReport:
-    status: Status
-    iterations: int
-    gap: float
-    feas_primal: float
-    feas_dual: float
-    stop_reason: StopReason
-
-
 @dataclass(frozen=True, eq=False)
 class ApproximationResult:
     """Output of :func:`best_l1_sos_approximation`.
@@ -149,7 +142,11 @@ class ApproximationResult:
         PSD Gram matrix of g over the degree-d basis.
     certificate : SosCertificate
         Eigendecomposition-based square extraction from ``gram``.
-    solver : SolverReport
+    solver : ConicSolution
+        The solve that produced the result, with its status, stop reason,
+        residuals, per-iteration trace and phase times.  For f = 0 nothing
+        is solved: zero iterations, ``optimal``, ``converged`` and an empty
+        trace.
     """
 
     lam: np.ndarray
@@ -158,7 +155,7 @@ class ApproximationResult:
     y_star: MomentVector
     gram: np.ndarray
     certificate: SosCertificate
-    solver: SolverReport
+    solver: ConicSolution
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,7 @@ def _require(sol: ConicSolution, *checks: Check, status: Status = Status.OPTIMAL
             )
 
 
-@dataclass(frozen=True, eq=False)
-class _SignPartition:
+class _SignPartition(NamedTuple):
     """Block structure of the moment-side programs of f.
 
     ``classes[k]`` holds, in basis order, the basis indices of the k-th PSD
@@ -321,11 +317,6 @@ class _SignPartition:
 
     classes: tuple[np.ndarray, ...]
     invariant: np.ndarray
-
-    @classmethod
-    def trivial(cls, bp: BasisProducts) -> "_SignPartition":
-        """One class and every constraint: the unreduced program."""
-        return cls((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
 
 
 def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
@@ -409,7 +400,9 @@ def assemble_reduced_dual(f: Polynomial, d: int) -> ConicProblem:
     """
     _check_degree(f, d)
     bp = basis_products(f.n, d)
-    return _assemble_moment_side(f, bp, _SignPartition.trivial(bp), f.n + 1)
+    # One class and every constraint: the unreduced program.
+    trivial = _SignPartition((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
+    return _assemble_moment_side(f, bp, trivial, f.n + 1)
 
 
 def assemble_full_form(f: Polynomial, d: int) -> ConicProblem:
@@ -464,7 +457,11 @@ def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
     basis2d = enumerate_basis(n, 2 * d)
     s = math.comb(n + d, n)
     cert = SosCertificate((), (), 0.0)
-    report = SolverReport(Status.OPTIMAL, 0, 0.0, 0.0, 0.0, StopReason.CONVERGED)
+    # Nothing is solved: a zero-iteration record of an exact optimum.
+    solver = ConicSolution(
+        Status.OPTIMAL, (), np.zeros(0), (), 0.0, 0.0, 0.0, 0.0, 0.0, 0, StopReason.CONVERGED,
+        trace=(), phase_times=(),
+    )
     return ApproximationResult(
         lam=np.zeros(n + 1),
         rho=0.0,
@@ -472,18 +469,7 @@ def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
         y_star=MomentVector(basis2d, np.zeros(len(basis2d))),
         gram=np.zeros((s, s)),
         certificate=cert,
-        solver=report,
-    )
-
-
-def _report(sol: ConicSolution) -> SolverReport:
-    return SolverReport(
-        status=sol.status,
-        iterations=sol.iterations,
-        gap=sol.gap,
-        feas_primal=sol.feas_primal,
-        feas_dual=sol.feas_dual,
-        stop_reason=sol.stop_reason,
+        solver=solver,
     )
 
 
@@ -514,10 +500,33 @@ def _moment_side_solution(
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
 
+def _accepted_solve(
+    f: Polynomial, d: int, multipliers: int
+) -> tuple[np.ndarray, float, Polynomial, MomentVector, np.ndarray, BasisProducts, ConicSolution]:
+    """Solve the moment-side program of f with n + 1 free multipliers or 1
+    tied one, and accept it as :func:`verify` would.
+
+    The multipliers are clipped at zero, rho is their sum and g is f plus
+    the perturbation with the multipliers broadcast to its n + 1 monomials.
+    Returns (lam, rho, g, y, gram, basis products, solution).  Multipliers
+    below -_CLIP_TOL, or a Gram matrix or moment vector that disagrees with
+    them, mean the solve was not as accurate as its status claims: then
+    SolverFailure is raised with the solution and the failed check attached.
+    """
+    bp, gram, raw, y, sol = _moment_side_solution(f, d, multipliers)
+    lam = np.clip(raw, 0.0, None)
+    rho = float(lam.sum())
+    g = f + _perturbation(f.n, 2 * d, np.broadcast_to(lam, f.n + 1))
+    _require(
+        sol, _nonnegative_check(raw, _CLIP_TOL), _gram_check(bp, gram, g), _gap_check(f, rho, y)
+    )
+    return lam, rho, g, y, gram, bp, sol
+
+
 def best_l1_sos_approximation(f: Polynomial, d: int) -> ApproximationResult:
     """Closest SOS polynomial of degree <= 2d to f in the l1 coefficient
     norm, together with the distance, multipliers, moment vector, Gram
-    matrix and an explicit certificate.
+    matrix, an explicit certificate and the solve's ConicSolution.
 
     Raises SolverFailure, with the raw solution attached, if the conic
     solve does not reach Optimal status, if a multiplier lies below
@@ -529,29 +538,8 @@ def best_l1_sos_approximation(f: Polynomial, d: int) -> ApproximationResult:
     if f.is_zero():
         return _degenerate_result(f, d)
 
-    bp, gram, raw, y_star, sol = _moment_side_solution(f, d, f.n + 1)
-    lam = np.clip(raw, 0.0, None)
-    rho = float(lam.sum())
-    g = f + _perturbation(f.n, 2 * d, lam)
-    # Multipliers below -_CLIP_TOL, or a Gram matrix or moment vector that
-    # disagrees with them, mean the solve was not as accurate as its status
-    # claims.
-    _require(
-        sol,
-        _nonnegative_check(raw, _CLIP_TOL),
-        _gram_check(bp, gram, g),
-        _gap_check(f, rho, y_star),
-    )
-    certificate = _extract_certificate(gram, bp, g)
-    return ApproximationResult(
-        lam=lam,
-        rho=rho,
-        g=g,
-        y_star=y_star,
-        gram=gram,
-        certificate=certificate,
-        solver=_report(sol),
-    )
+    lam, rho, g, y_star, gram, bp, sol = _accepted_solve(f, d, f.n + 1)
+    return ApproximationResult(lam, rho, g, y_star, gram, _extract_certificate(gram, bp, g), sol)
 
 
 def _sos_degree(g: Polynomial) -> int:
@@ -605,18 +593,14 @@ def uniform_sos_perturbation(f: Polynomial, d: int) -> tuple[float, Polynomial]:
     squares, found by tying all perturbation multipliers to one scalar.
     Returns (eps, perturbed polynomial).
 
-    Raises SolverFailure as :func:`best_l1_sos_approximation` does, on the
-    same checks: the tied multiplier is at least -1e-9, the Gram matrix
-    reproduces the perturbed polynomial, and eps = -L_y(f)."""
+    Accepted, or refused with SolverFailure, by the same code as
+    :func:`best_l1_sos_approximation`, on the same checks: the tied
+    multiplier is at least -1e-9, the Gram matrix reproduces the perturbed
+    polynomial, and eps = -L_y(f)."""
     _check_degree(f, d)
     if f.is_zero():
         return 0.0, f
-    bp, gram, raw, y, sol = _moment_side_solution(f, d, 1)
-    eps = float(max(raw[0], 0.0))
-    g = f + _perturbation(f.n, 2 * d, np.full(f.n + 1, eps))
-    _require(
-        sol, _nonnegative_check(raw, _CLIP_TOL), _gram_check(bp, gram, g), _gap_check(f, eps, y)
-    )
+    _, eps, g, *_ = _accepted_solve(f, d, 1)
     return eps, g
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import approx as ap
 from . import poly
+from .sdp import ConicSolution
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -119,7 +120,7 @@ def _moment_vector_dict(y) -> dict:
     return {"n": y.n, "degree": y.degree, "values": list(y.values)}
 
 
-def _solver_report_dict(rep: ap.SolverReport) -> dict:
+def _solver_report_dict(rep: ConicSolution) -> dict:
     return {
         "status": rep.status.value,
         "iterations": rep.iterations,

@@ -559,119 +559,121 @@ def _schur_solve(factor, m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve(problem: ConicProblem) -> ConicSolution:
     """Solve the conic program, returning primal and dual variables, the dual
     slack, a certified duality gap and feasibility residuals."""
-    blocks, coefs, cs, b, m = problem.blocks, problem.coefs, problem.c, problem.b, problem.m
+    # Overflow and NaN are reported as a not_finite stop, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks, coefs, cs, b, m = problem.blocks, problem.coefs, problem.c, problem.b, problem.m
 
-    a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
-    b_inf = float(np.max(np.abs(b)))
-    c_inf = max(float(np.max(np.abs(ck))) if ck.size else 0.0 for ck in cs)
-    tau = 1.0 + max(b_inf, a_inf, c_inf)
+        a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
+        b_inf = float(np.max(np.abs(b)))
+        c_inf = max(float(np.max(np.abs(ck))) if ck.size else 0.0 for ck in cs)
+        tau = 1.0 + max(b_inf, a_inf, c_inf)
 
-    xs, ss = [], []
-    dims = 0
-    for blk in blocks:
-        if isinstance(blk, PsdBlock):
-            xs.append(tau * np.eye(blk.dim))
-            ss.append(tau * np.eye(blk.dim))
-            dims += blk.dim
-        else:
-            xs.append(tau * np.ones(blk.count))
-            ss.append(tau * np.ones(blk.count))
-            dims += blk.count
-    y = np.zeros(m)
-    nu = float(dims)
+        xs, ss = [], []
+        dims = 0
+        for blk in blocks:
+            if isinstance(blk, PsdBlock):
+                xs.append(tau * np.eye(blk.dim))
+                ss.append(tau * np.eye(blk.dim))
+                dims += blk.dim
+            else:
+                xs.append(tau * np.ones(blk.count))
+                ss.append(tau * np.ones(blk.count))
+                dims += blk.count
+        y = np.zeros(m)
+        nu = float(dims)
 
-    b_scale = 1.0 + float(np.linalg.norm(b))
-    c_scale = 1.0 + float(np.sqrt(sum(np.sum(ck * ck) for ck in cs)))
+        b_scale = 1.0 + float(np.linalg.norm(b))
+        c_scale = 1.0 + float(np.sqrt(sum(np.sum(ck * ck) for ck in cs)))
 
-    # With a zero objective every feasible X is optimal, and every y with
-    # -A^T(y) in K and b'y > 0 proves that none exists: the solve ends at the
-    # first iterate that is either one, exactly.  A full step makes its
-    # residual exact to roundoff, and every later one keeps it so.
-    zero_objective = not any(ck.any() for ck in cs)
-    full_p = full_d = False
+        # With a zero objective every feasible X is optimal, and every y with
+        # -A^T(y) in K and b'y > 0 proves that none exists: the solve ends at the
+        # first iterate that is either one, exactly.  A full step makes its
+        # residual exact to roundoff, and every later one keeps it so.
+        zero_objective = not any(ck.any() for ck in cs)
+        full_p = full_d = False
 
-    trace: list[IterationStats] = []
-    phase_times: list[PhaseTimes] = []
-    status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
-    it = 0
-    pobj = dobj = gap = feas_p = feas_d = np.nan
+        trace: list[IterationStats] = []
+        phase_times: list[PhaseTimes] = []
+        status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
+        it = 0
+        pobj = dobj = gap = feas_p = feas_d = np.nan
 
-    for it in range(_MAX_ITER + 1):
-        ax = _apply_a(coefs, xs, m)
-        rp = b - ax
-        aty = _apply_at(coefs, blocks, y)
-        rd = [ck - at - sk for ck, at, sk in zip(cs, aty, ss)]
-        pobj = _inner(cs, xs)
-        dobj = float(b @ y)
-        gap = abs(pobj - dobj)
-        compl = _inner(xs, ss)
-        mu = compl / nu
-        feas_p = float(np.linalg.norm(rp)) / b_scale
-        feas_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / c_scale
-        trace.append(IterationStats(it, pobj, dobj, gap, mu, feas_p, feas_d))
+        for it in range(_MAX_ITER + 1):
+            ax = _apply_a(coefs, xs, m)
+            rp = b - ax
+            aty = _apply_at(coefs, blocks, y)
+            rd = [ck - at - sk for ck, at, sk in zip(cs, aty, ss)]
+            pobj = _inner(cs, xs)
+            dobj = float(b @ y)
+            gap = abs(pobj - dobj)
+            compl = _inner(xs, ss)
+            mu = compl / nu
+            feas_p = float(np.linalg.norm(rp)) / b_scale
+            feas_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / c_scale
+            trace.append(IterationStats(it, pobj, dobj, gap, mu, feas_p, feas_d))
 
-        finite = (
-            np.isfinite(pobj)
-            and np.isfinite(dobj)
-            and np.isfinite(mu)
-            and np.isfinite(feas_p)
-            and np.isfinite(feas_d)
+            finite = (
+                np.isfinite(pobj)
+                and np.isfinite(dobj)
+                and np.isfinite(mu)
+                and np.isfinite(feas_p)
+                and np.isfinite(feas_d)
+            )
+            if not finite:
+                status, reason = Status.NUMERICAL_FAILURE, StopReason.NOT_FINITE
+                break
+
+            if zero_objective and full_p and feas_p <= _FEAS_TOL:
+                # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
+                y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
+                dobj = gap = feas_d = 0.0
+                trace[-1] = IterationStats(it, pobj, dobj, gap, 0.0, feas_p, feas_d)
+                status, reason = Status.OPTIMAL, StopReason.FEASIBLE_POINT
+                break
+            if zero_objective and full_d and dobj > 0.0:
+                status, reason = Status.INFEASIBLE, StopReason.FARKAS_RAY
+                break
+
+            scale_ref = 1.0 + abs(dobj)
+            if (
+                gap <= _GAP_TOL * scale_ref
+                and compl <= _GAP_TOL * scale_ref
+                and feas_p <= _FEAS_TOL
+                and feas_d <= _FEAS_TOL
+            ):
+                status, reason = Status.OPTIMAL, StopReason.CONVERGED
+                break
+
+            if it == _MAX_ITER:
+                break
+
+            try:
+                stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu)
+            except np.linalg.LinAlgError:
+                stepped = None
+            if stepped is None:
+                status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
+                break
+            xs, y, ss, alpha_p, alpha_d, sigma, reg, times = stepped
+            full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
+            trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
+            phase_times.append(times)
+
+        return ConicSolution(
+            status=status,
+            primal=tuple(xs),
+            dual=y,
+            slack=tuple(ss),
+            primal_objective=pobj,
+            dual_objective=dobj,
+            gap=gap,
+            feas_primal=feas_p,
+            feas_dual=feas_d,
+            iterations=it,
+            stop_reason=reason,
+            trace=tuple(trace),
+            phase_times=tuple(phase_times),
         )
-        if not finite:
-            status, reason = Status.NUMERICAL_FAILURE, StopReason.NOT_FINITE
-            break
-
-        if zero_objective and full_p and feas_p <= _FEAS_TOL:
-            # y = 0, S = 0 is dual optimal: gap and dual residual are 0.
-            y, ss = np.zeros(m), [np.zeros_like(x) for x in xs]
-            dobj = gap = feas_d = 0.0
-            trace[-1] = IterationStats(it, pobj, dobj, gap, 0.0, feas_p, feas_d)
-            status, reason = Status.OPTIMAL, StopReason.FEASIBLE_POINT
-            break
-        if zero_objective and full_d and dobj > 0.0:
-            status, reason = Status.INFEASIBLE, StopReason.FARKAS_RAY
-            break
-
-        scale_ref = 1.0 + abs(dobj)
-        if (
-            gap <= _GAP_TOL * scale_ref
-            and compl <= _GAP_TOL * scale_ref
-            and feas_p <= _FEAS_TOL
-            and feas_d <= _FEAS_TOL
-        ):
-            status, reason = Status.OPTIMAL, StopReason.CONVERGED
-            break
-
-        if it == _MAX_ITER:
-            break
-
-        try:
-            stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu)
-        except np.linalg.LinAlgError:
-            stepped = None
-        if stepped is None:
-            status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
-            break
-        xs, y, ss, alpha_p, alpha_d, sigma, reg, times = stepped
-        full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
-        trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
-        phase_times.append(times)
-
-    return ConicSolution(
-        status=status,
-        primal=tuple(xs),
-        dual=y,
-        slack=tuple(ss),
-        primal_objective=pobj,
-        dual_objective=dobj,
-        gap=gap,
-        feas_primal=feas_p,
-        feas_dual=feas_d,
-        iterations=it,
-        stop_reason=reason,
-        trace=tuple(trace),
-        phase_times=tuple(phase_times),
-    )
 
 
 def _scaled(blk, g: np.ndarray, mat: np.ndarray) -> np.ndarray:

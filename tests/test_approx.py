@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from l1sos import (
+    ConicSolution,
     MomentVector,
     NonNegBlock,
     Polynomial,
@@ -167,6 +168,9 @@ class TestBestApproximation:
         assert res.y_star.basis is enumerate_basis(2, 6)
         assert np.all(res.lam == 0.0)
         assert res.solver.iterations == 0
+        assert res.solver.status is Status.OPTIMAL
+        assert res.solver.stop_reason is StopReason.CONVERGED
+        assert res.solver.trace == () and res.solver.phase_times == ()
 
     @pytest.mark.parametrize(
         "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
@@ -182,6 +186,17 @@ class TestBestApproximation:
 
     def test_report_names_stop_reason(self, motzkin):
         assert best_l1_sos_approximation(motzkin, 3).solver.stop_reason is StopReason.CONVERGED
+
+    def test_result_keeps_its_solve(self, motzkin_result):
+        # The result carries the solve itself: its trace ends at the
+        # reported gap, one phase-time row per step, and every step's
+        # Schur shift is recorded.
+        sol = motzkin_result[0].solver
+        assert isinstance(sol, ConicSolution)
+        assert sol.trace[-1].gap == sol.gap
+        assert len(sol.phase_times) == sol.iterations
+        assert all(np.isfinite(row.reg) for row in sol.trace[:-1])
+        assert np.isnan(sol.trace[-1].reg)
 
     def test_monotone_in_degree(self, motzkin):
         rhos = [best_l1_sos_approximation(motzkin, d).rho for d in (3, 4, 5)]
@@ -737,7 +752,7 @@ def test_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
     g = motzkin + approx._perturbation(2, 6, lam)
     res = ApproximationResult(
         lam=lam, rho=float(lam.sum()), g=g, y_star=y_star, gram=gram,
-        certificate=approx._extract_certificate(gram, bp, g), solver=approx._report(sol),
+        certificate=approx._extract_certificate(gram, bp, g), solver=sol,
     )
     checks = {c.name: c for c in verify(res, motzkin, 3).checks}
     assert not checks[name].passed
@@ -765,10 +780,12 @@ def test_baseline_refusal_is_verify_verdict(monkeypatch, motzkin, tamper, name):
     assert checks[name] == err.value.check
 
 
-def test_baseline_refuses_small_scale_gap(motzkin):
+def test_baseline_refuses_small_scale_gap(motzkin, motzkin_result):
     # At c = 1e-6 the tied program stops with eps / c = 0.0088 against
     # 0.0054 at c = 1, and -L_y(f) disagrees with eps by far more than the
     # gap tolerance.
     with pytest.raises(SolverFailure) as err:
         uniform_sos_perturbation(1e-6 * motzkin, 3)
     assert err.value.check.name == "zero_duality_gap"
+    # A refusal carries the same record of the solve as an accepted result.
+    assert type(err.value.solution) is type(motzkin_result[0].solver)

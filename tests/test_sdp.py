@@ -297,8 +297,7 @@ class TestStatuses:
             b=[0.0],
         )
         for problem in (infeasible, unbounded):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol = solve(problem)
+            sol = solve(problem)
             assert sol.status is Status.NUMERICAL_FAILURE
             assert sol.stop_reason is StopReason.NOT_FINITE
         assert "divergence" not in {reason.value for reason in StopReason}
@@ -311,8 +310,7 @@ class TestStatuses:
             coefs=(Entries([0], [0], [0], [1.0]),),
             b=[1e300],
         )
-        with np.errstate(over="ignore"):
-            sol = solve(problem)
+        sol = solve(problem)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.stop_reason is StopReason.NOT_FINITE
         assert sol.iterations == 0

@@ -186,7 +186,8 @@ def _unreduced(f, d):
     """rho and epsilon of the programs without symmetry blocks."""
     bp = basis_products(f.n, d)
     free = solve(assemble_reduced_dual(f, d))
-    tied = solve(approx._assemble_moment_side(f, bp, approx._SignPartition.trivial(bp), 1))
+    trivial = approx._SignPartition((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
+    tied = solve(approx._assemble_moment_side(f, bp, trivial, 1))
     assert free.status == Status.OPTIMAL and tied.status == Status.OPTIMAL
     return float(np.clip(free.primal[-1], 0.0, None).sum()), float(max(tied.primal[-1][0], 0.0))
 
