@@ -7,8 +7,10 @@ check-sos         SOS membership with certificate or refutation witness
 baseline          smallest uniform perturbation making the input SOS
 reproduce-table1  run the built-in Motzkin-like benchmark at d = 3, 4, 5
 
-Exit codes: 0 success, 1 usage or input error, 2 solver failure.  JSON
-output is byte-deterministic: fixed key order and every float rendered with
+Every command builds its report both as a JSON document and as table text,
+and one render path writes the one that --format names.  Exit codes: 0
+success, 1 usage or input error, 2 solver failure.  JSON output is
+byte-deterministic: fixed key order and every float rendered with
 17 significant digits in lowercase scientific notation.
 """
 
@@ -168,69 +170,60 @@ def _result_rows(rows: list[tuple[int, ap.ApproximationResult]]) -> str:
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_approx(args: argparse.Namespace) -> str:
+def _cmd_approx(args: argparse.Namespace) -> tuple[dict, str]:
     f = _load_polynomial(args.input)
     res = ap.best_l1_sos_approximation(f, args.degree)
-    if args.format == "json":
-        out = {"command": "approx"}
-        out.update(_result_dict(res, args.degree))
-        return _dumps(out) + "\n"
-    return _result_rows([(args.degree, res)])
+    document = {"command": "approx", **_result_dict(res, args.degree)}
+    return document, _result_rows([(args.degree, res)])
 
 
-def _cmd_check_sos(args: argparse.Namespace) -> str:
+def _cmd_check_sos(args: argparse.Namespace) -> tuple[dict, str]:
     g = _load_polynomial(args.input)
     res = ap.is_sos(g, args.degree)
-    if args.format == "json":
-        out = {
-            "command": "check-sos",
-            "d": args.degree,
-            "is_sos": res.is_sos,
-            "certificate": _certificate_dict(res) if res.is_sos else None,
-            "witness": None
-            if res.is_sos
-            else {
-                "moments": _moment_vector_dict(res.witness),
-                "riesz_value": res.value,
-            },
-        }
-        return _dumps(out) + "\n"
+    document = {
+        "command": "check-sos",
+        "d": args.degree,
+        "is_sos": res.is_sos,
+        "certificate": _certificate_dict(res) if res.is_sos else None,
+        "witness": None
+        if res.is_sos
+        else {
+            "moments": _moment_vector_dict(res.witness),
+            "riesz_value": res.value,
+        },
+    }
     if res.is_sos:
         lines = ["SOS", f"residual {res.residual:.3e}"]
         for w, q in zip(res.weights, res.squares):
             lines.append(f"  + {w:.12g} * ({q})^2")
-        return "\n".join(lines) + "\n"
-    return (
+        return document, "\n".join(lines) + "\n"
+    return document, (
         "not SOS\n"
         f"witness moment vector y with L_y(g) = {res.value:.6e} < 0 "
         "and PSD moment matrix\n"
     )
 
 
-def _cmd_baseline(args: argparse.Namespace) -> str:
+def _cmd_baseline(args: argparse.Namespace) -> tuple[dict, str]:
     f = _load_polynomial(args.input)
     eps, g = ap.uniform_sos_perturbation(f, args.degree)
-    if args.format == "json":
-        out = {
-            "command": "baseline",
-            "d": args.degree,
-            "epsilon": eps,
-            "g": poly.to_json_dict(g),
-        }
-        return _dumps(out) + "\n"
-    return f"epsilon* = {eps:.6e}\ng = {g}\n"
+    document = {
+        "command": "baseline",
+        "d": args.degree,
+        "epsilon": eps,
+        "g": poly.to_json_dict(g),
+    }
+    return document, f"epsilon* = {eps:.6e}\ng = {g}\n"
 
 
-def _cmd_reproduce_table1(args: argparse.Namespace) -> str:
+def _cmd_reproduce_table1(args: argparse.Namespace) -> tuple[dict, str]:
     f = ap.motzkin_like()
     rows = [(d, ap.best_l1_sos_approximation(f, d)) for d in (3, 4, 5)]
-    if args.format == "json":
-        out = {
-            "command": "reproduce-table1",
-            "rows": [_result_dict(res, d) for d, res in rows],
-        }
-        return _dumps(out) + "\n"
-    return _result_rows(rows)
+    document = {
+        "command": "reproduce-table1",
+        "rows": [_result_dict(res, d) for d, res in rows],
+    }
+    return document, _result_rows(rows)
 
 
 _RUNNERS = {
@@ -244,7 +237,7 @@ _RUNNERS = {
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command, write its report, and return the exit code."""
     try:
-        report = _RUNNERS[args.command](args)
+        document, text = _RUNNERS[args.command](args)
     except ap.SolverFailure as exc:
         print(f"l1sos: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -257,6 +250,7 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"l1sos: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = _dumps(document) + "\n" if args.format == "json" else text
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -291,10 +291,12 @@ def parse_text(text: str) -> Polynomial:
             continue
         tokens = line.split()
         if tokens[0] == "n":
-            if n is not None:
-                raise ParseError("duplicate 'n' header", lineno)
+            # A term line sets n, so terms come first: a header after them
+            # is out of order, not a duplicate.
             if terms:
                 raise ParseError("'n' header must precede all terms", lineno)
+            if n is not None:
+                raise ParseError("duplicate 'n' header", lineno)
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", lineno)
             n = _variable_count(tokens[1], line=lineno)

@@ -19,10 +19,11 @@ list of (constraint, row, column, value) entries, the input format of SDPA.
 It stores each block's entries once: both (r, c) and (c, r) of every PSD
 entry, repeated entries summed, one row per constraint, each row padded with
 zero entries to the length of the longest in its chunk of constraints.
-Entries are additive, so A(Z), A^T(y) and the nonnegative blocks' part of
-the Schur complement are bincounts over them, pads included.  On each PSD
-block the NT scaling point W = G G^T satisfies W S W = X, and the Schur
-complement M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
+Entries are additive, so A(Z) and A^T(y) are bincounts over them, pads
+included.  On each block the NT scaling point W satisfies W S W = X: it is
+G G^T on a PSD block and diag(sqrt(x / s)) on a nonnegative one, the
+diagonal of the PSD cone.  So on both the Schur complement
+M[i, j] = <A_i, W A_j W> is built by the F3 formula of SDPA
 (Fujisawa, Kojima & Nakata, Math. Programming 79, 1997), using the
 per-constraint sparsity: W A_j W is a small product over constraint j's
 entries, formed for a chunk of constraints at once by one stacked product
@@ -48,9 +49,10 @@ step with S = -A^T(y) in the interior of K and b'y > 0, a Farkas ray that
 proves infeasibility.  That ray is the only infeasibility verdict: a
 program with a nonzero objective and no optimum is not detected as such,
 and its solve ends when an iterate stops being finite, a step fails or the
-iterations run out.  Every solution names the rule that ended it and
-carries its trace: the iterate statistics of every iteration and the wall
-time of each step's phases.
+iterations run out.  A step that fails raises LinAlgError naming its
+cause, and the solve ends ``step_failed`` where it catches it.  Every
+solution names the rule that ended it and carries its trace: the iterate
+statistics of every iteration and the wall time of each step's phases.
 
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
@@ -134,7 +136,7 @@ class Entries:
     (row, column), then pads (``touched[t]``, 0, 0, 0.0) up to the longest
     row of its chunk of _SCHUR_CHUNK rows, ``chunk_widths[c]`` for chunk c.
     So a chunk's W A_j W are one stacked product, and entries are additive:
-    every reader accumulates.  Entry e belongs to ``touched[slot[e]]``.
+    every reader accumulates.
 
     ``triu_at`` indexes the entries with row <= column, in order, and
     ``triu_vals`` holds their values, off-diagonal ones doubled, so
@@ -147,7 +149,6 @@ class Entries:
     cols: np.ndarray
     vals: np.ndarray
     touched: np.ndarray = field(init=False)
-    slot: np.ndarray = field(init=False)
     triu_at: np.ndarray = field(init=False)
     triu_vals: np.ndarray = field(init=False)
     triu_starts: np.ndarray = field(init=False)
@@ -187,16 +188,15 @@ class Entries:
         widths = np.maximum.reduceat(counts, np.arange(0, counts.size, _SCHUR_CHUNK))
         row_widths = np.repeat(widths, _SCHUR_CHUNK)[: counts.size]
         starts = np.cumsum(row_widths) - row_widths
-        slot = np.repeat(np.arange(counts.size), row_widths)
         at = np.arange(con.size) + np.repeat(starts - bounds[:-1], counts)
         padded = []
         for a in (rows, cols, vals):
-            pad = np.zeros(slot.size, dtype=a.dtype)
+            pad = np.zeros(row_widths.sum(), dtype=a.dtype)
             pad[at] = a
             padded.append(pad)
         for name, value in (
-            ("con", touched[slot]), ("rows", padded[0]), ("cols", padded[1]), ("vals", padded[2]),
-            ("touched", touched), ("slot", slot), ("triu_at", at[up]),
+            ("con", np.repeat(touched, row_widths)), ("rows", padded[0]), ("cols", padded[1]),
+            ("vals", padded[2]), ("touched", touched), ("triu_at", at[up]),
             ("triu_vals", np.where(rows == cols, 1.0, 2.0)[up] * vals[up]),
             ("triu_starts", np.flatnonzero(triu_first)), ("chunk_widths", widths),
         ):
@@ -368,33 +368,21 @@ def _inner(xs, ys) -> float:
     return total
 
 
-def _max_step_psd(d: np.ndarray, dd: np.ndarray) -> float:
-    """Largest t with diag(d) + t*dd still PSD, for the scaled iterate
-    diag(d) of the NT scaling, d > 0."""
-    r = d**-0.5
-    lmin = np.linalg.eigvalsh(dd * r[:, None] * r)[0]
-    if lmin >= -1e-14:
-        return np.inf
-    return -1.0 / lmin
-
-
-def _max_step_nonneg(d: np.ndarray, dd: np.ndarray) -> float:
-    """Largest t with d + t*dd still nonnegative, for d > 0."""
-    neg = dd < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-d[neg] / dd[neg]))
-
-
 def _max_step(blocks, scalings, dds) -> float:
-    """Largest step along the scaled directions ``dds`` from the scaled
-    iterates of ``scalings``."""
+    """Largest t along the scaled directions ``dds`` from the scaled iterates
+    of ``scalings``, d > 0: diag(d) + t dd stays PSD on a PSD block and
+    d + t dd nonnegative on a nonnegative one."""
     step = np.inf
     for blk, (_, d), dd in zip(blocks, scalings, dds):
         if isinstance(blk, PsdBlock):
-            step = min(step, _max_step_psd(d, dd))
+            r = d**-0.5
+            lmin = np.linalg.eigvalsh(dd * r[:, None] * r)[0]
+            if lmin < -1e-14:
+                step = min(step, -1.0 / lmin)
         else:
-            step = min(step, _max_step_nonneg(d, dd))
+            neg = dd < 0
+            if neg.any():
+                step = min(step, float(np.min(-d[neg] / dd[neg])))
     return step
 
 
@@ -414,7 +402,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
 
 
 def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
-    """M[i, j] = <A_i, W A_j W> on a PSD block's touched constraints, by the F3
+    """M[i, j] = <A_i, W A_j W> on a block's touched constraints, by the F3
     formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
     of v W[:, p] W[q, :], and M[i, j] for i >= j sums v (W A_j W)[p, q] over
     the upper-triangle entries of constraint i, W A_j W being symmetric.
@@ -453,21 +441,21 @@ def _schur_complement(blocks, coefs, xs, ss, m: int):
     """The Schur complement M[i, j] = <A_i, W A_j W> of the NT direction,
     summed over the blocks on the constraints each one touches, exactly
     symmetric; also the scaling of every block.  A PSD block's is (G, d)
-    from :func:`_nt_scaling`; a nonnegative block's is (w, d) with
-    w = sqrt(x / s), the diagonal of W, and d = sqrt(x s).  Raises
-    LinAlgError if a PSD block of X or S is not numerically positive
-    definite."""
+    from :func:`_nt_scaling`, with W = G G^T; a nonnegative block's is
+    (g, d) with g = sqrt(x / s) and d = sqrt(x s).  The orthant is the
+    diagonal of the PSD cone and W = diag(g) its NT scaling point, so both
+    cones take the F3 formula of :func:`_schur_block`.  Raises LinAlgError
+    if a PSD block of X or S is not numerically positive definite."""
     scalings = []
     schur = np.zeros((m, m))
     for blk, e, x, s in zip(blocks, coefs, xs, ss):
         if isinstance(blk, PsdBlock):
             g, d = _nt_scaling(x, s)
-            block = _schur_block(e, g @ g.T)
+            w = g @ g.T
         else:
             g, d = np.sqrt(x / s), np.sqrt(x * s)
-            k, n = e.touched.size, blk.count
-            q = np.bincount(e.slot * n + e.rows, weights=e.vals * g[e.rows], minlength=k * n)
-            block = q.reshape(k, n) @ q.reshape(k, n).T
+            w = np.diag(g)
+        block = _schur_block(e, w)
         scalings.append((g, d))
         if e.touched.size == m:
             schur += block
@@ -595,8 +583,6 @@ def solve(problem: ConicProblem) -> ConicSolution:
         trace: list[IterationStats] = []
         phase_times: list[PhaseTimes] = []
         status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
-        it = 0
-        pobj = dobj = gap = feas_p = feas_d = np.nan
 
         for it in range(_MAX_ITER + 1):
             ax = _apply_a(coefs, xs, m)
@@ -648,13 +634,12 @@ def solve(problem: ConicProblem) -> ConicSolution:
                 break
 
             try:
-                stepped = _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu)
+                xs, y, ss, alpha_p, alpha_d, sigma, reg, times = _take_step(
+                    blocks, coefs, b, xs, y, ss, rp, rd, mu, nu
+                )
             except np.linalg.LinAlgError:
-                stepped = None
-            if stepped is None:
                 status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
                 break
-            xs, y, ss, alpha_p, alpha_d, sigma, reg, times = stepped
             full_p, full_d = full_p or alpha_p == 1.0, full_d or alpha_d == 1.0
             trace[-1] = trace[-1]._replace(alpha_p=alpha_p, alpha_d=alpha_d, sigma=sigma, reg=reg)
             phase_times.append(times)
@@ -701,8 +686,9 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     the symmetrized complementarity equation at diag(d).  Eliminating dX
     and dS leaves M dy = b + A(G (G^T Rd G - E) G^T).  Step lengths are read
     off the scaled iterate.  Returns the updated (xs, y, ss) with the step
-    lengths, sigma, the Schur shift and the :class:`PhaseTimes`, or None on
-    factorization breakdown."""
+    lengths, sigma, the Schur shift and the :class:`PhaseTimes`.  Raises
+    LinAlgError, naming the cause, if the NT scaling breaks down, the Schur
+    complement does not factor or no step can be taken."""
     m = len(b)
     start = time.perf_counter()
     schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
@@ -710,7 +696,7 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     factored = _factor_schur(schur)
     factored_at = time.perf_counter()
     if factored is None:
-        return None
+        raise np.linalg.LinAlgError("the Schur complement did not factor")
     factor, reg = factored
     psd = [isinstance(blk, PsdBlock) for blk in blocks]
     dmats = [np.diag(d) if p else d for p, (_, d) in zip(psd, scalings)]
@@ -764,7 +750,7 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     alpha_p = min(1.0, _STEP_FRACTION * _max_step(blocks, scalings, dx_scaled))
     alpha_d = min(1.0, _STEP_FRACTION * _max_step(blocks, scalings, ds_scaled))
     if max(alpha_p, alpha_d) < 1e-13:
-        return None
+        raise np.linalg.LinAlgError("no step could be taken")
 
     xs_new = []
     for blk, (g, _), x, dx in zip(blocks, scalings, xs, dx_scaled):

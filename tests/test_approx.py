@@ -176,6 +176,15 @@ class TestBestApproximation:
         "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
         ids=lambda fn: fn.__name__,
     )
+    def test_degree_zero_rejected(self, motzkin, entry):
+        with pytest.raises(ValueError) as err:
+            entry(motzkin, 0)
+        assert "degree bound d must be >= 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
+        ids=lambda fn: fn.__name__,
+    )
     def test_solver_failure_propagates(self, monkeypatch, motzkin, entry):
         monkeypatch.setattr(sdp, "_MAX_ITER", 2)
         with pytest.raises(SolverFailure) as err:
@@ -512,6 +521,10 @@ class TestVerifySosAnswers:
 
 
 class TestUniformPerturbation:
+    def test_zero_polynomial(self):
+        zero = Polynomial.zero(2)
+        assert uniform_sos_perturbation(zero, 2) == (0.0, zero)
+
     def test_sos_input_needs_nothing(self):
         eps, g = uniform_sos_perturbation(x_(1, 0) ** 2 + 1.0, 1)
         assert eps <= 1e-7

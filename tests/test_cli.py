@@ -164,6 +164,20 @@ class TestReproduceTable1:
         assert data["rows"][0]["rho"] == pytest.approx(1.6e-2, rel=0.05)
 
 
+@pytest.mark.parametrize("command,line", [
+    ("approx", " 2  (0, 0, 0)  0.0000e+00"),
+    ("baseline", "epsilon* = 0.000000e+00"),
+    ("check-sos", "SOS"),
+], ids=["approx", "baseline", "check-sos"])
+def test_zero_polynomial_file(tmp_path, capsys, command, line):
+    # A file with only a header is the zero polynomial: every command
+    # answers without a solve.
+    path = tmp_path / "zero.txt"
+    path.write_text("n 2\n")
+    assert main([command, "--input", str(path), "--degree", "2"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["approx", "--input", "nowhere.txt", "--degree", "3"]) == 1

@@ -316,6 +316,19 @@ class TestGaussianMoments:
             gaussian_moments(2, 0)
 
 
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: MomentVector(enumerate_basis(2, 2), np.zeros(3)), "expected 6 moment values"),
+    (lambda: riesz(MomentVector(enumerate_basis(2, 2), np.zeros(6)), Polynomial.variable(3, 0)),
+     "variable count mismatch: 3 vs 2"),
+    (lambda: atomic_moments(2, 2, [[1.0, 2.0, 3.0]], [1.0]), "points must have 2 coordinates"),
+    (lambda: atomic_moments(2, 2, [[1.0, 2.0]], [1.0, 2.0]), "need one weight per point"),
+], ids=["vector-length", "riesz-variables", "atomic-coordinates", "atomic-weights"])
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
 def test_moment_bound_for_atomic_measures():
     # With M_d(y) PSD, every |y_alpha| is bounded by
     # max(L_y(1), max_i L_y(x_i^{2d})).

@@ -136,8 +136,11 @@ class TestTextFormat:
         assert err.value.line == 2
 
     def test_header_after_terms(self):
-        with pytest.raises(ParseError):
+        # The term line sets n, so the header is out of order, not a
+        # duplicate.
+        with pytest.raises(ParseError, match="must precede") as err:
             parse_text("1.0 2\nn 1\n")
+        assert err.value.line == 2
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -174,6 +177,37 @@ class TestJsonFormat:
     def test_bad_json_text(self):
         with pytest.raises(ParseError):
             parse_json("{not json")
+
+
+@pytest.mark.parametrize("call,exc,fragment", [
+    (lambda: parse_text("n\n"), ParseError, "header must be 'n <count>'"),
+    (lambda: parse_text("1.0\n"), ParseError, "needs a coefficient and at least one exponent"),
+    (lambda: parse_text("1.0 -1\n"), ParseError, "negative exponent -1"),
+    (lambda: parse_text("1.0 2.5\n"), ParseError, "bad exponent '2.5'"),
+    (lambda: parse_text("n x\n1 1\n"), ParseError, "bad variable count 'x'"),
+    (lambda: parse_text("n 0\n"), ParseError, "variable count must be >= 1"),
+    (lambda: parse_json('{"n": 1}'), ParseError, "needs 'n' and 'terms' keys"),
+    (lambda: parse_json('{"n": 1, "terms": 5}'), ParseError, "'terms' must be a list"),
+    (lambda: parse_json('{"n": 1, "terms": [{}]}'), ParseError, "needs 'c' and 'e' keys (term 0)"),
+    (lambda: parse_json('{"n": 1, "terms": [{"c": true, "e": [1]}]}'), ParseError,
+     "bad coefficient True (term 0)"),
+    (lambda: parse_json('{"n": 1, "terms": [{"c": 1, "e": 5}]}'), ParseError,
+     "exponents must be a list, not 5 (term 0)"),
+    (lambda: Polynomial.variable(2, 2), ValueError, "variable index 2 out of range"),
+    (lambda: x_(2, 0) ** -1, ValueError, "must be nonnegative integers"),
+], ids=[
+    "bare-header", "lone-coefficient", "negative-exponent", "fractional-exponent",
+    "count-x", "count-0", "json-missing-key", "json-terms-not-list", "json-term-no-keys",
+    "json-bool-coefficient", "json-exponents-not-list", "variable-index", "negative-power",
+])
+def test_input_checks(call, exc, fragment):
+    with pytest.raises(exc) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_zero_prints_as_0():
+    assert str(Polynomial.zero(2)) == "0"
 
 
 def test_grlex_order():

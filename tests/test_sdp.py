@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -322,6 +323,51 @@ class TestStatuses:
         assert sol.stop_reason is StopReason.STEP_FAILED
         assert sol.iterations == 0
 
+    @pytest.mark.parametrize("name,calls_per_step,failing,message", [
+        ("_nt_scaling", 1, None, "scaled iterate is not positive definite"),
+        ("_factor_schur", 1, lambda *args: None, "the Schur complement did not factor"),
+        ("_max_step", 4, lambda *args: 0.0, "no step could be taken"),
+    ], ids=["nt-scaling", "factor", "vanishing-step"])
+    def test_every_step_failure_cause(self, monkeypatch, name, calls_per_step, failing, message):
+        # Two steps succeed, then the third fails; each cause raises
+        # LinAlgError naming it, and the solve ends step_failed after the
+        # last iterate, whose statistics are finite.
+        def breakdown(*args):
+            raise np.linalg.LinAlgError(message)
+
+        real, calls = getattr(sdp, name), []
+
+        def patched(*args):
+            calls.append(None)
+            if len(calls) <= 2 * calls_per_step:
+                return real(*args)
+            return (failing or breakdown)(*args)
+
+        take_step, raised = sdp._take_step, []
+
+        def recording(*args):
+            try:
+                return take_step(*args)
+            except np.linalg.LinAlgError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(sdp, name, patched)
+        monkeypatch.setattr(sdp, "_take_step", recording)
+        sol = solve(min_trace_cross())
+        assert raised == [message]
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.stop_reason is StopReason.STEP_FAILED
+        assert sol.iterations == 2
+        assert len(sol.phase_times) == sol.iterations
+        assert len(sol.trace) == sol.iterations + 1
+        last = sol.trace[-1]
+        assert np.isfinite(last[:7]).all()
+        assert math.isnan(last.alpha_p) and math.isnan(last.alpha_d)
+
+    def test_non_finite_schur_does_not_factor(self):
+        assert sdp._factor_schur(np.full((2, 2), np.nan)) is None
+
 
 class TestValidation:
     def test_bad_objective_shape(self):
@@ -377,6 +423,32 @@ class TestValidation:
                 coefs=(([0], [0], [0], [1.0]),),
                 b=[1.0],
             )
+
+    @pytest.mark.parametrize("call,exc,fragment", [
+        (lambda: Entries([0, 1], [0], [0], [1.0]), ValueError, "equally long"),
+        (lambda: ConicProblem((), (), (), [1.0]), ValueError, "at least one block"),
+        (lambda: ConicProblem((NonNegBlock(1),), (np.ones(1),), (Entries([0], [0], [0], [1.0]),),
+                              [[1.0]]), ValueError, "b must be 1-d"),
+        (lambda: ConicProblem((PsdBlock(0),), (np.zeros((0, 0)),),
+                              (Entries([0], [0], [0], [1.0]),), [1.0]),
+         ValueError, "PSD block dimension must be >= 1"),
+        (lambda: ConicProblem((NonNegBlock(0),), (np.zeros(0),), (Entries([0], [0], [0], [1.0]),),
+                              [1.0]), ValueError, "nonnegative block count must be >= 1"),
+        (lambda: ConicProblem((NonNegBlock(2),), (np.ones(3),), (Entries([0], [0], [0], [1.0]),),
+                              [1.0]), ValueError, "objective block 0 has shape (3,)"),
+        (lambda: ConicProblem(("psd",), (np.ones(1),), (Entries([0], [0], [0], [1.0]),), [1.0]),
+         TypeError, "unknown block type"),
+        (lambda: ConicProblem((NonNegBlock(1),), (np.ones(1),),
+                              (Entries([0], [0], [0], [np.nan]),), [1.0]),
+         ValueError, "block 0: non-finite value"),
+    ], ids=[
+        "entries-unequal", "no-blocks", "b-2d", "psd-dim-0", "nonneg-count-0",
+        "nonneg-objective-shape", "unknown-block", "nan-value",
+    ])
+    def test_input_checks(self, call, exc, fragment):
+        with pytest.raises(exc) as err:
+            call()
+        assert fragment in str(err.value)
 
     def test_nonnegative_entry_off_diagonal(self):
         with pytest.raises(ValueError, match="block 0"):
@@ -501,7 +573,7 @@ def sorted_triples(con, rows, cols, vals):
 
 
 STORED = (
-    "con", "rows", "cols", "vals", "touched", "slot",
+    "con", "rows", "cols", "vals", "touched",
     "triu_at", "triu_vals", "triu_starts", "chunk_widths",
 )
 
@@ -545,16 +617,17 @@ class TestEntries:
             con, rows, cols, vals = sorted_triples(*triples)
             touched, counts = np.unique(con, return_counts=True)
             assert np.array_equal(e.touched, touched)
-            assert np.array_equal(e.touched[e.slot], e.con)
-            assert np.all(np.diff(e.slot) >= 0)
-            widths = np.bincount(e.slot, minlength=touched.size)
+            slot = np.searchsorted(e.touched, e.con)
+            assert np.array_equal(e.touched[slot], e.con)
+            assert np.all(np.diff(slot) >= 0)
+            widths = np.bincount(slot, minlength=touched.size)
             los = range(0, touched.size, sdp._SCHUR_CHUNK)
             assert len(los) == e.chunk_widths.size
             for lo, width in zip(los, e.chunk_widths):
                 assert width == counts[lo : lo + sdp._SCHUR_CHUNK].max()
                 assert np.all(widths[lo : lo + sdp._SCHUR_CHUNK] == width)
-            at = np.arange(e.slot.size) - np.repeat(np.cumsum(widths) - widths, widths)
-            real = at < counts[e.slot]
+            at = np.arange(slot.size) - np.repeat(np.cumsum(widths) - widths, widths)
+            real = at < counts[slot]
             for stored, want in zip((e.con, e.rows, e.cols, e.vals), (con, rows, cols, vals)):
                 assert np.array_equal(stored[real], want)
             assert not np.any([e.rows[~real], e.cols[~real], e.vals[~real]])
@@ -580,7 +653,7 @@ class TestEntries:
         blocks, coefs = problem.blocks, problem.coefs
         pad = coefs[-1].vals == 0.0
         at_zero = ~pad & (coefs[-1].rows == 0)
-        assert np.any(np.isin(coefs[-1].slot[pad], coefs[-1].slot[at_zero]))
+        assert np.any(np.isin(coefs[-1].con[pad], coefs[-1].con[at_zero]))
         triples = [sorted_triples(*t) for t in raw]
         xs, ss = random_interior(rng, problem)
         y = rng.standard_normal(problem.m)
@@ -602,7 +675,8 @@ def schur_from_triples(blocks, triples, xs, ss, m):
     on the unpadded sorted triples: W A_j W for one constraint at a time,
     R[j, i] = <A_i, W A_j W> read off it at the upper triangle of A_i, and
     M[i, j] = R[j, i] where j's chunk of constraints comes first, the mean
-    of the two where i and j share a chunk."""
+    of the two where i and j share a chunk.  W is G G^T on a PSD block and
+    diag(sqrt(x / s)) on a nonnegative one."""
     schur = np.zeros((m, m))
     for blk, (con, rows, cols, vals), x, s in zip(blocks, triples, xs, ss):
         touched, slot = np.unique(con, return_inverse=True)
@@ -610,22 +684,21 @@ def schur_from_triples(blocks, triples, xs, ss, m):
         if isinstance(blk, PsdBlock):
             g = sdp._nt_scaling(x, s)[0]
             w = g @ g.T
-            waw = np.empty((k, blk.dim, blk.dim))
-            for j in range(k):
-                mine = slot == j
-                left = np.take(w, rows[mine], axis=0) * vals[mine, None]
-                waw[j] = left.T @ np.take(w, cols[mine], axis=0)
-            up = rows <= cols
-            picked = np.take(waw.reshape(k, -1), rows[up] * blk.dim + cols[up], axis=1)
-            picked *= (np.where(rows == cols, 1.0, 2.0) * vals)[up]
-            r = np.add.reduceat(picked, np.searchsorted(slot[up], np.arange(k)), axis=1)
-            chunk = np.arange(k) // sdp._SCHUR_CHUNK
-            first = chunk[:, None] < chunk
-            block = np.where(chunk[:, None] == chunk, 0.5 * (r + r.T), np.where(first, r, r.T))
         else:
-            q = np.zeros((k, blk.count))
-            q[slot, rows] = vals * np.sqrt(x / s)[rows]
-            block = q @ q.T
+            w = np.diag(np.sqrt(x / s))
+        dim = w.shape[0]
+        waw = np.empty((k, dim, dim))
+        for j in range(k):
+            mine = slot == j
+            left = np.take(w, rows[mine], axis=0) * vals[mine, None]
+            waw[j] = left.T @ np.take(w, cols[mine], axis=0)
+        up = rows <= cols
+        picked = np.take(waw.reshape(k, -1), rows[up] * dim + cols[up], axis=1)
+        picked *= (np.where(rows == cols, 1.0, 2.0) * vals)[up]
+        r = np.add.reduceat(picked, np.searchsorted(slot[up], np.arange(k)), axis=1)
+        chunk = np.arange(k) // sdp._SCHUR_CHUNK
+        first = chunk[:, None] < chunk
+        block = np.where(chunk[:, None] == chunk, 0.5 * (r + r.T), np.where(first, r, r.T))
         schur[np.ix_(touched, touched)] += block
     return schur
 

@@ -142,7 +142,7 @@ class TestDenseInputIsUnchanged:
         assert np.array_equal(reduced.b, reference.b)
         assert reduced.m == reference.m
         for e, ref in zip(reduced.coefs, reference.coefs, strict=True):
-            for name in ("con", "rows", "cols", "vals", "touched", "slot"):
+            for name in ("con", "rows", "cols", "vals", "touched"):
                 assert np.array_equal(getattr(e, name), getattr(ref, name))
 
 
