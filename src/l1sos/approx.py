@@ -96,9 +96,7 @@ class SosCertificate:
     weights: tuple[float, ...]
     residual: float
 
-    @property
-    def is_sos(self) -> bool:
-        return True
+    is_sos = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +116,7 @@ class SosRefutation:
     witness: MomentVector
     value: float
 
-    @property
-    def is_sos(self) -> bool:
-        return False
+    is_sos = False
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,34 +46,21 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="l1sos", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add_common(p, needs_input: bool):
-        if needs_input:
+    for name, (_, help_text, reads_input) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if reads_input:
             p.add_argument("--input", required=True, metavar="PATH",
                            help="polynomial file (text format, see README)")
             p.add_argument("--degree", required=True, type=int, metavar="INT",
                            help="degree bound d (approximant degree <= 2d)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-    p_approx = sub.add_parser("approx", help="best l1-norm SOS approximation")
-    add_common(p_approx, needs_input=True)
-
-    p_check = sub.add_parser("check-sos", help="SOS membership test")
-    add_common(p_check, needs_input=True)
-
-    p_base = sub.add_parser("baseline", help="uniform SOS perturbation baseline")
-    add_common(p_base, needs_input=True)
-
-    p_table = sub.add_parser("reproduce-table1",
-                             help="built-in Motzkin-like benchmark, d = 3, 4, 5")
-    add_common(p_table, needs_input=False)
     return parser
 
 
 def _check_args(args: argparse.Namespace) -> None:
     if args.command is None:
-        raise UsageError(f"missing command (one of: {', '.join(_RUNNERS)})")
+        raise UsageError(f"missing command (one of: {', '.join(_COMMANDS)})")
     if getattr(args, "degree", 1) < 1:
         raise UsageError("--degree must be >= 1")
 
@@ -226,18 +213,20 @@ def _cmd_reproduce_table1(args: argparse.Namespace) -> tuple[dict, str]:
     return document, _result_rows(rows)
 
 
-_RUNNERS = {
-    "approx": _cmd_approx,
-    "check-sos": _cmd_check_sos,
-    "baseline": _cmd_baseline,
-    "reproduce-table1": _cmd_reproduce_table1,
+# name -> (runner, help, reads --input and --degree); the order is --help's.
+_COMMANDS = {
+    "approx": (_cmd_approx, "best l1-norm SOS approximation", True),
+    "check-sos": (_cmd_check_sos, "SOS membership test", True),
+    "baseline": (_cmd_baseline, "uniform SOS perturbation baseline", True),
+    "reproduce-table1": (_cmd_reproduce_table1,
+                         "built-in Motzkin-like benchmark, d = 3, 4, 5", False),
 }
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command, write its report, and return the exit code."""
     try:
-        document, text = _RUNNERS[args.command](args)
+        document, text = _COMMANDS[args.command][0](args)
     except ap.SolverFailure as exc:
         print(f"l1sos: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -186,27 +186,23 @@ class Polynomial:
     # -- misc ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        return pretty(self)
-
-
-def pretty(f: Polynomial) -> str:
-    """Human-readable form, e.g. ``1.0 - 1.0*x1^2*x2^2``."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for mono in sorted(f.terms, key=grlex_key):
-        coeff = f.terms[mono]
-        factors = [
-            f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(mono)
-            if e
-        ]
-        body = "*".join([f"{abs(coeff):.12g}"] + factors)
-        if not parts:
-            parts.append(body if coeff >= 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(parts)
+        """Human-readable form, e.g. ``1.0 - 1.0*x1^2*x2^2``."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono in sorted(self.terms, key=grlex_key):
+            coeff = self.terms[mono]
+            factors = [
+                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(mono)
+                if e
+            ]
+            body = "*".join([f"{abs(coeff):.12g}"] + factors)
+            if not parts:
+                parts.append(body if coeff >= 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
+        return " ".join(parts)
 
 
 # -- input checks ---------------------------------------------------------------

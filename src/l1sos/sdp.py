@@ -491,8 +491,8 @@ def _blocked_cholesky(a: np.ndarray):
 def _factor_schur(m: np.ndarray):
     """Cholesky factor of the Schur complement, with the inverses of its
     diagonal blocks for :func:`_cholesky_solve`, and the shift it needed (0.0
-    when M factored as it is); None on breakdown past the largest
-    regularization.
+    when M factored as it is).  Raises LinAlgError if M is not finite or
+    still breaks down past the largest regularization.
 
     On breakdown, M is scaled to unit diagonal, D M D with
     D = diag(M)^(-1/2), and shifted by reg * I with reg escalating: row i of
@@ -502,7 +502,7 @@ def _factor_schur(m: np.ndarray):
     largest entry would swamp the small rows.
     """
     if not np.isfinite(m).all():
-        return None
+        raise np.linalg.LinAlgError("the Schur complement is not finite")
     n = m.shape[0]
     dsc = np.ones(n)
     a, reg = m, 0.0
@@ -513,7 +513,7 @@ def _factor_schur(m: np.ndarray):
         except np.linalg.LinAlgError:
             reg = _REG_INITIAL if reg == 0.0 else reg * 10.0
             if reg > _REG_MAX:
-                return None
+                raise np.linalg.LinAlgError("the Schur complement did not factor")
             diag = np.diag(m)
             dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
             a = m * np.outer(dsc, dsc) + reg * np.eye(n)
@@ -688,16 +688,14 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     off the scaled iterate.  Returns the updated (xs, y, ss) with the step
     lengths, sigma, the Schur shift and the :class:`PhaseTimes`.  Raises
     LinAlgError, naming the cause, if the NT scaling breaks down, the Schur
-    complement does not factor or no step can be taken."""
+    complement is not finite or does not factor (from
+    :func:`_factor_schur`), or no step can be taken."""
     m = len(b)
     start = time.perf_counter()
     schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
     built = time.perf_counter()
-    factored = _factor_schur(schur)
+    factor, reg = _factor_schur(schur)
     factored_at = time.perf_counter()
-    if factored is None:
-        raise np.linalg.LinAlgError("the Schur complement did not factor")
-    factor, reg = factored
     psd = [isinstance(blk, PsdBlock) for blk in blocks]
     dmats = [np.diag(d) if p else d for p, (_, d) in zip(psd, scalings)]
     rd_scaled = [_scaled(blk, g, r) for blk, (g, _), r in zip(blocks, scalings, rd)]

@@ -8,7 +8,7 @@ import pytest
 
 from l1sos import from_json_dict, parse_text, sdp, to_text, verify
 from l1sos.approx import ApproximationResult, SosCertificate, motzkin_like
-from l1sos.cli import main
+from l1sos.cli import _dumps, main
 from l1sos.moment import MomentVector, enumerate_basis
 
 from conftest import near_motzkin
@@ -239,6 +239,11 @@ class TestErrorPaths:
         code = main(["approx", "--input", str(motzkin_file), "--degree", "3"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+
+def test_dumps_refuses_unknown_types():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _dumps(object())
 
 
 def test_runtime_needs_no_scipy(motzkin_file):

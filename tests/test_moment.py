@@ -322,7 +322,9 @@ class TestGaussianMoments:
      "variable count mismatch: 3 vs 2"),
     (lambda: atomic_moments(2, 2, [[1.0, 2.0, 3.0]], [1.0]), "points must have 2 coordinates"),
     (lambda: atomic_moments(2, 2, [[1.0, 2.0]], [1.0, 2.0]), "need one weight per point"),
-], ids=["vector-length", "riesz-variables", "atomic-coordinates", "atomic-weights"])
+    (lambda: gaussian_moments(0, 2), "need at least one variable"),
+], ids=["vector-length", "riesz-variables", "atomic-coordinates", "atomic-weights",
+        "gaussian-variables"])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError) as err:
         call()

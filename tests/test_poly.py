@@ -32,6 +32,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial.zero(2) * Polynomial.zero(3)
 
+    def test_scalar_minus_polynomial(self):
+        x = x_(2, 0)
+        assert 1 - x == Polynomial.constant(2, 1.0) - x
+
     def test_zero_coefficients_scrubbed(self):
         f = Polynomial(1, {(2,): 0.0, (1,): 1.0})
         assert (1,) in f.terms and (2,) not in f.terms
@@ -195,10 +199,15 @@ class TestJsonFormat:
      "exponents must be a list, not 5 (term 0)"),
     (lambda: Polynomial.variable(2, 2), ValueError, "variable index 2 out of range"),
     (lambda: x_(2, 0) ** -1, ValueError, "must be nonnegative integers"),
+    (lambda: parse_text("n 2\nn 2\n"), ParseError, "line 2: duplicate 'n' header"),
+    (lambda: x_(2, 0) + "x", TypeError, "unsupported operand type(s) for +"),
+    (lambda: x_(2, 0) - "x", TypeError, "unsupported operand type(s) for -"),
+    (lambda: x_(2, 0) * "x", TypeError, "can't multiply sequence"),
 ], ids=[
     "bare-header", "lone-coefficient", "negative-exponent", "fractional-exponent",
     "count-x", "count-0", "json-missing-key", "json-terms-not-list", "json-term-no-keys",
     "json-bool-coefficient", "json-exponents-not-list", "variable-index", "negative-power",
+    "duplicate-header", "add-str", "sub-str", "mul-str",
 ])
 def test_input_checks(call, exc, fragment):
     with pytest.raises(exc) as err:

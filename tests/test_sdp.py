@@ -147,7 +147,15 @@ class TestIterateInvariants:
         # repairs it.
         almost = np.array([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
         assert sdp._factor_schur(almost)[1] == sdp._REG_INITIAL
-        assert sdp._factor_schur(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
+        with pytest.raises(np.linalg.LinAlgError, match="the Schur complement did not factor"):
+            sdp._factor_schur(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_nt_scaling_underflow(self):
+        # Both Cholesky factors exist, but p^T p underflows to 0 in its
+        # second entry, so the scaled iterate is singular.
+        x = np.diag([1.0, 1e-200])
+        with pytest.raises(np.linalg.LinAlgError, match="scaled iterate is not positive definite"):
+            sdp._nt_scaling(x, x.copy())
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 495])
     def test_factor_schur_solves(self, n):
@@ -317,7 +325,10 @@ class TestStatuses:
         assert sol.iterations == 0
 
     def test_step_failed(self, monkeypatch):
-        monkeypatch.setattr(sdp, "_factor_schur", lambda m: None)
+        def breakdown(m):
+            raise np.linalg.LinAlgError("the Schur complement did not factor")
+
+        monkeypatch.setattr(sdp, "_factor_schur", breakdown)
         sol = solve(min_trace_cross())
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.stop_reason is StopReason.STEP_FAILED
@@ -325,7 +336,10 @@ class TestStatuses:
 
     @pytest.mark.parametrize("name,calls_per_step,failing,message", [
         ("_nt_scaling", 1, None, "scaled iterate is not positive definite"),
-        ("_factor_schur", 1, lambda *args: None, "the Schur complement did not factor"),
+        # Every factorization breaks down as numpy's does, so the shift
+        # escalates past _REG_MAX and _factor_schur raises its own message.
+        ("_blocked_cholesky", 1, lambda *args: np.linalg.cholesky(-np.eye(1)),
+         "the Schur complement did not factor"),
         ("_max_step", 4, lambda *args: 0.0, "no step could be taken"),
     ], ids=["nt-scaling", "factor", "vanishing-step"])
     def test_every_step_failure_cause(self, monkeypatch, name, calls_per_step, failing, message):
@@ -366,7 +380,8 @@ class TestStatuses:
         assert math.isnan(last.alpha_p) and math.isnan(last.alpha_d)
 
     def test_non_finite_schur_does_not_factor(self):
-        assert sdp._factor_schur(np.full((2, 2), np.nan)) is None
+        with pytest.raises(np.linalg.LinAlgError, match="the Schur complement is not finite"):
+            sdp._factor_schur(np.full((2, 2), np.nan))
 
 
 class TestValidation:
