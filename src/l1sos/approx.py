@@ -36,7 +36,6 @@ in :func:`_accepted_solve`, and an accepted approximation keeps the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +45,6 @@ from .moment import (
     BasisProducts,
     MomentVector,
     basis_products,
-    enumerate_basis,
     moment_matrix,
     riesz,
 )
@@ -140,9 +138,10 @@ class ApproximationResult:
         Eigendecomposition-based square extraction from ``gram``.
     solver : ConicSolution
         The solve that produced the result, with its status, stop reason,
-        residuals, per-iteration trace and phase times.  For f = 0 nothing
-        is solved: zero iterations, ``optimal``, ``converged`` and an empty
-        trace.
+        residuals, per-iteration trace and phase times.  A zero f carries
+        the exact optimal pair of its program, X = 0, y = 0, S = C, with
+        nothing solved: zero iterations, ``optimal``, ``converged`` and an
+        empty trace.
     """
 
     lam: np.ndarray
@@ -448,27 +447,6 @@ def _extract_certificate(gram: np.ndarray, bp: BasisProducts, g: Polynomial) -> 
     return SosCertificate(squares, tuple(weights.tolist()), residual)
 
 
-def _degenerate_result(f: Polynomial, d: int) -> ApproximationResult:
-    n = f.n
-    basis2d = enumerate_basis(n, 2 * d)
-    s = math.comb(n + d, n)
-    cert = SosCertificate((), (), 0.0)
-    # Nothing is solved: a zero-iteration record of an exact optimum.
-    solver = ConicSolution(
-        Status.OPTIMAL, (), np.zeros(0), (), 0.0, 0.0, 0.0, 0.0, 0.0, 0, StopReason.CONVERGED,
-        trace=(), phase_times=(),
-    )
-    return ApproximationResult(
-        lam=np.zeros(n + 1),
-        rho=0.0,
-        g=Polynomial.zero(n),
-        y_star=MomentVector(basis2d, np.zeros(len(basis2d))),
-        gram=np.zeros((s, s)),
-        certificate=cert,
-        solver=solver,
-    )
-
-
 def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
     return Polynomial(n, dict(zip(_perturbation_monomials(n, two_d), lam)))
 
@@ -479,6 +457,8 @@ def _moment_side_solution(
     """Solve the moment-side program of f at degree bound 2d in sign-symmetry
     blocks, with ``multipliers`` perturbation multipliers (see
     :func:`_assemble_moment_side`), whatever status the solve ends with.
+    A zero f is not solved: its program has b = 0 and the exact optimal
+    pair X = 0, y = 0, S = C.
 
     Returns the basis products, the full Gram matrix carrying each block on
     its class, the raw multipliers (empty for none), y = -dual on the
@@ -486,12 +466,21 @@ def _moment_side_solution(
     """
     bp = basis_products(f.n, d)
     partition = _sign_partition(f, bp)
-    sol = solve(_assemble_moment_side(f, bp, partition, multipliers))
+    problem = _assemble_moment_side(f, bp, partition, multipliers)
+    if f.is_zero():
+        # C lies in the cone, so S = C is a dual slack.
+        sol = ConicSolution(
+            Status.OPTIMAL, tuple(np.zeros_like(c) for c in problem.c), np.zeros(problem.m),
+            problem.c, 0.0, 0.0, 0.0, 0.0, 0.0, 0, StopReason.CONVERGED, trace=(), phase_times=(),
+        )
+    else:
+        sol = solve(problem)
     gram = np.zeros((len(bp.basis), len(bp.basis)))
     for idx, x in zip(partition.classes, sol.primal):
         gram[np.ix_(idx, idx)] = x
     y_vals = np.zeros(len(bp.product_basis))
-    y_vals[partition.invariant] = -sol.dual
+    # Subtracted, not negated, so a zero dual gives +0.0 moments.
+    y_vals[partition.invariant] -= sol.dual
     raw = sol.primal[-1] if multipliers else np.zeros(0)
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
@@ -508,8 +497,10 @@ def _accepted_solve(
     below -_CLIP_TOL, or a Gram matrix or moment vector that disagrees with
     them, mean the solve was not as accurate as its status claims: then
     SolverFailure is raised with the solution and the failed check attached.
+    The status is read first, so nothing is computed from a failed solve.
     """
     bp, gram, raw, y, sol = _moment_side_solution(f, d, multipliers)
+    _require(sol)
     lam = np.clip(raw, 0.0, None)
     rho = float(lam.sum())
     g = f + _perturbation(f.n, 2 * d, np.broadcast_to(lam, f.n + 1))
@@ -531,9 +522,6 @@ def best_l1_sos_approximation(f: Polynomial, d: int) -> ApproximationResult:
     functions; the failed check is attached and named in the message.
     """
     _check_degree(f, d)
-    if f.is_zero():
-        return _degenerate_result(f, d)
-
     lam, rho, g, y_star, gram, bp, sol = _accepted_solve(f, d, f.n + 1)
     return ApproximationResult(lam, rho, g, y_star, gram, _extract_certificate(gram, bp, g), sol)
 
@@ -566,14 +554,15 @@ def is_sos(g: Polynomial, d: int) -> SosCertificate | SosRefutation:
     program is split into sign-symmetry blocks and solved for g / ||g||_1,
     so the answer does not depend on g's scale; the certificate weights
     and the witness value are in g's units, and the certificate residual
-    is taken against g itself.
+    is taken against g itself.  A zero g is divided by 1 and certified
+    with no squares; a g whose l1 norm overflows raises ValueError.
     """
     _check_degree(g, d)
-    if g.is_zero():
-        return SosCertificate((), (), 0.0)
     d0 = _sos_degree(g)
     norm = g.l1_norm()
-    unit = g * (1.0 / norm)
+    if norm == np.inf:
+        raise ValueError("the l1 norm of g overflows double precision")
+    unit = g * (1.0 / (norm or 1.0))
     bp, gram, _, ray, sol = _moment_side_solution(unit, d0, 0)
     if sol.status == Status.OPTIMAL:
         return _extract_certificate(norm * gram, bp, g)
@@ -594,8 +583,6 @@ def uniform_sos_perturbation(f: Polynomial, d: int) -> tuple[float, Polynomial]:
     multiplier is at least -1e-9, the Gram matrix reproduces the perturbed
     polynomial, and eps = -L_y(f)."""
     _check_degree(f, d)
-    if f.is_zero():
-        return 0.0, f
     _, eps, g, *_ = _accepted_solve(f, d, 1)
     return eps, g
 

@@ -33,8 +33,8 @@ one reduction, and mirrored into row j.  M is exactly
 symmetric but positive semidefinite only up to roundoff.  M gets a dense
 left-looking blocked Cholesky factorization, one matrix product per block
 column, whose diagonal-block inverses also serve the blocked substitution
-of each solve; on breakdown each row is shifted by an escalating multiple
-of its own diagonal entry, and the shift is reported.  Only numpy is needed.
+of each solve; on breakdown each row is shifted once by 1e-12 times its
+own diagonal entry, and the shift is reported.  Only numpy is needed.
 Everything is deterministic: a fixed scale-aware starting point and no
 randomized pivoting, so identical inputs produce identical iterate
 sequences.
@@ -68,8 +68,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-_REG_INITIAL = 1e-12
-_REG_MAX = 1e-6
+# Shift of the unit-diagonal Schur complement when it does not factor as it
+# is.
+_REG = 1e-12
 # Block size of the Cholesky factorization and substitution of the Schur
 # complement.
 _SUBST_BLOCK = 64
@@ -492,32 +493,28 @@ def _factor_schur(m: np.ndarray):
     """Cholesky factor of the Schur complement, with the inverses of its
     diagonal blocks for :func:`_cholesky_solve`, and the shift it needed (0.0
     when M factored as it is).  Raises LinAlgError if M is not finite or
-    still breaks down past the largest regularization.
+    does not factor with the shift either.
 
     On breakdown, M is scaled to unit diagonal, D M D with
-    D = diag(M)^(-1/2), and shifted by reg * I with reg escalating: row i of
-    M is shifted by reg * M_ii, relative to its own scale.  Where M breaks
-    down near an optimum its diagonal can span many orders of magnitude
-    (1e6 to 1e20 on Motzkin-like programs), and a shift relative to the
-    largest entry would swamp the small rows.
+    D = diag(M)^(-1/2), and shifted once by _REG * I: row i of M is shifted
+    by _REG * M_ii, relative to its own scale.  Where M breaks down near an
+    optimum its diagonal can span many orders of magnitude (1e6 to 1e20 on
+    Motzkin-like programs), and a shift relative to the largest entry would
+    swamp the small rows.
     """
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("the Schur complement is not finite")
-    n = m.shape[0]
-    dsc = np.ones(n)
-    a, reg = m, 0.0
-    while True:
-        try:
-            l, invs = _blocked_cholesky(a)
-            break
-        except np.linalg.LinAlgError:
-            reg = _REG_INITIAL if reg == 0.0 else reg * 10.0
-            if reg > _REG_MAX:
-                raise np.linalg.LinAlgError("the Schur complement did not factor")
-            diag = np.diag(m)
-            dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-            a = m * np.outer(dsc, dsc) + reg * np.eye(n)
-    return (dsc, l, invs), reg
+    try:
+        return (np.ones(m.shape[0]), *_blocked_cholesky(m)), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    diag = np.diag(m)
+    dsc = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    try:
+        l, invs = _blocked_cholesky(m * np.outer(dsc, dsc) + _REG * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("the Schur complement did not factor") from None
+    return (dsc, l, invs), _REG
 
 
 def _cholesky_solve(factor, rhs: np.ndarray) -> np.ndarray:

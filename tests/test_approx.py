@@ -173,7 +173,11 @@ class TestBestApproximation:
         assert res.solver.trace == () and res.solver.phase_times == ()
 
     @pytest.mark.parametrize(
-        "entry", [best_l1_sos_approximation, uniform_sos_perturbation, is_sos],
+        "entry",
+        [
+            best_l1_sos_approximation, uniform_sos_perturbation, is_sos, assemble_full_form,
+            assemble_reduced_dual,
+        ],
         ids=lambda fn: fn.__name__,
     )
     def test_degree_zero_rejected(self, motzkin, entry):
@@ -192,6 +196,15 @@ class TestBestApproximation:
         assert err.value.solution is not None
         assert "max_iterations" in str(err.value)
         assert err.value.solution.stop_reason is StopReason.MAX_ITERATIONS
+
+    def test_overflow_refused_before_arithmetic(self):
+        # Both coefficients are finite, but the solve's iterates are not.
+        # Its status is read before lam, rho and g are formed from them, so
+        # the caller gets SolverFailure and no RuntimeWarning.
+        f = Polynomial(2, {(0, 0): 1e308, (2, 0): 1e308})
+        with pytest.raises(SolverFailure, match="not_finite") as err:
+            best_l1_sos_approximation(f, 1)
+        assert err.value.solution.stop_reason is StopReason.NOT_FINITE
 
     def test_report_names_stop_reason(self, motzkin):
         assert best_l1_sos_approximation(motzkin, 3).solver.stop_reason is StopReason.CONVERGED
@@ -309,6 +322,12 @@ class TestIsSos:
     def test_zero_polynomial(self):
         cert = is_sos(Polynomial.zero(2), 1)
         assert cert.is_sos and cert.squares == ()
+
+    def test_overflowing_norm_refused(self):
+        # ||g||_1 = inf: g / ||g||_1 would be the zero polynomial.
+        g = Polynomial(2, {(0, 0): 1e308, (2, 0): 1e308})
+        with pytest.raises(ValueError, match="l1 norm of g overflows"):
+            is_sos(g, 1)
 
     def test_random_sos_accepted(self):
         rng = np.random.default_rng(23)

@@ -209,6 +209,20 @@ class TestErrorPaths:
         assert main(["approx", "--input", str(path), "--degree", "1"]) == 1
         assert capsys.readouterr().err == f"l1sos: parse error: {message}\n"
 
+    @pytest.mark.parametrize("command,code,message", [
+        ("approx", 2, "l1sos: solver failure: conic solve ended with status numerical_failure, "
+                      "stopped by not_finite"),
+        ("check-sos", 1, "l1sos: invalid input: the l1 norm of g overflows double precision\n"),
+    ], ids=["approx", "check-sos"])
+    def test_overflow_refused(self, tmp_path, capsys, command, code, message):
+        # Finite coefficients whose l1 norm overflows: approx refuses the
+        # solve, and check-sos refuses the input before it divides by the
+        # norm; neither lets a RuntimeWarning through.
+        path = tmp_path / "huge.txt"
+        path.write_text("n 2\n1e308 0 0\n1e308 2 0\n")
+        assert main([command, "--input", str(path), "--degree", "1"]) == code
+        assert capsys.readouterr().err.startswith(message)
+
     def test_unwritable_output(self, motzkin_file, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         code = main(["approx", "--input", str(motzkin_file), "--degree", "3",

@@ -146,7 +146,7 @@ class TestIterateInvariants:
         # Indefinite by 1e-13 after scaling to unit diagonal: the first shift
         # repairs it.
         almost = np.array([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
-        assert sdp._factor_schur(almost)[1] == sdp._REG_INITIAL
+        assert sdp._factor_schur(almost)[1] == sdp._REG
         with pytest.raises(np.linalg.LinAlgError, match="the Schur complement did not factor"):
             sdp._factor_schur(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
@@ -188,7 +188,7 @@ class TestIterateInvariants:
         assert np.linalg.eigvalsh(m)[0] < 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(m)
-        assert sdp._factor_schur(m)[1] == sdp._REG_INITIAL
+        assert sdp._factor_schur(m)[1] == sdp._REG
 
     def test_phase_times_only_when_tracing(self):
         problem = assemble_reduced_dual(motzkin_like(), 4)
@@ -336,8 +336,8 @@ class TestStatuses:
 
     @pytest.mark.parametrize("name,calls_per_step,failing,message", [
         ("_nt_scaling", 1, None, "scaled iterate is not positive definite"),
-        # Every factorization breaks down as numpy's does, so the shift
-        # escalates past _REG_MAX and _factor_schur raises its own message.
+        # Every factorization breaks down as numpy's does, the shifted one
+        # too, so _factor_schur raises its own message.
         ("_blocked_cholesky", 1, lambda *args: np.linalg.cholesky(-np.eye(1)),
          "the Schur complement did not factor"),
         ("_max_step", 4, lambda *args: 0.0, "no step could be taken"),
@@ -429,6 +429,17 @@ class TestValidation:
                 coefs=(Entries([0], [0], [0], [1.0]),),
                 b=[np.inf],
             )
+
+    def test_lists_are_stored_as_tuples(self):
+        problem = ConicProblem(
+            blocks=[NonNegBlock(1)],
+            c=[np.ones(1)],
+            coefs=[Entries([0], [0], [0], [1.0])],
+            b=[1.0],
+        )
+        assert isinstance(problem.blocks, tuple)
+        assert isinstance(problem.c, tuple)
+        assert isinstance(problem.coefs, tuple)
 
     def test_coefficients_not_entries(self):
         with pytest.raises(TypeError):

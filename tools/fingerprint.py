@@ -13,14 +13,23 @@ fact:
 - ``cli seed=<s> <command> <sha256>``: the SHA-256 of stdout, stderr and
   exit code of each ``cli-table1`` benchmark command, on the inputs that
   ``bench/workloads.make_inputs`` writes for seeds 1-3.
+- ``zero n=<n> d=<d> <command> <sha256>``: the same for approx, baseline
+  and check-sos with JSON output on a file that holds only the header
+  ``n <n>``, the zero polynomial, at (n, d) = (2, 1) and (3, 2).
 - ``solve <operation> #<k> <status> <stop> iterations=<n> <sha256>``: every
-  conic solve of the Motzkin-like ladder (d = 3..11, approx and is_sos) and
-  of the three ``random-dense`` seed-1 instance sets (approx, baseline and
-  is_sos), with the SHA-256 of its final primal, dual and slack.
+  conic solve of the Motzkin-like ladder (d = 3..11, approx and is_sos), of
+  the c-sweep (c * Motzkin-like for c = 1e-8 .. 1e6 and d = 3..7, approx,
+  baseline and is_sos) and of the three ``random-dense`` seed-1 instance
+  sets (approx, baseline and is_sos), with the SHA-256 of its final primal,
+  dual and slack.
 
-BLAS is pinned to one thread, here and in the CLI processes, so the
-iterates do not depend on the thread count.  The benchmark's modules are
-only imported; nothing under ``bench/`` is written.
+The tool exits 1, after printing everything, if a ``cli`` command's output
+fails the benchmark's own check or a ``zero`` command exits nonzero; each
+such run is named on stderr.  Run it with ``PYTHONWARNINGS=error::RuntimeWarning``
+to make a warning in a CLI process such a failure.  BLAS is pinned to one
+thread, here and in the CLI processes, so the iterates do not depend on the
+thread count.  The benchmark's modules are only imported; nothing under
+``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -44,9 +53,13 @@ import numpy as np  # noqa: E402
 import l1sos  # noqa: E402
 from l1sos import approx  # noqa: E402
 
+import procs  # noqa: E402
 import workloads  # noqa: E402
 
 CLI_SEEDS = (1, 2, 3)
+ZERO_CASES = ((2, 1), (3, 2))
+C_SWEEP = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6)
+C_SWEEP_DEGREES = range(3, 8)
 
 
 def code_lines(path: Path) -> int:
@@ -86,15 +99,47 @@ def print_lines() -> None:
     print(f"lines total {total}")
 
 
-def print_cli() -> None:
+def run_digest(res) -> str:
+    return digest(res.stdout, res.stderr, str(res.returncode).encode())
+
+
+def print_cli() -> int:
+    """Print the ``cli`` rows; return how many runs failed their check."""
+    failed = 0
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
             wl = workloads.cli_table1(workloads.make_inputs("cli-table1", seed, workdir), workdir)
             for op in sorted(wl.op_sets[0], key=lambda op: op.key):
                 res = op.run()
-                print(f"cli seed={seed} {op.key.replace(' ', '-')} "
-                      f"{digest(res.stdout, res.stderr, str(res.returncode).encode())}")
+                key = op.key.replace(" ", "-")
+                print(f"cli seed={seed} {key} {run_digest(res)}")
+                verdict = op.check(res)
+                if verdict.kind != "ok":
+                    failed += 1
+                    print(f"cli seed={seed} {key} failed: {verdict.kind} {verdict.detail!r}",
+                          file=sys.stderr)
+    return failed
+
+
+def print_zero() -> int:
+    """Print the ``zero`` rows; return how many runs exited nonzero."""
+    failed = 0
+    env = procs.child_env()
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for n, d in ZERO_CASES:
+            path = workdir / f"zero{n}.txt"
+            path.write_text(f"n {n}\n")
+            for command in ("approx", "baseline", "check-sos"):
+                args = [command, "--input", str(path), "--degree", str(d), "--format", "json"]
+                res = procs.run_child(procs.cli_argv(args, False, workdir), workdir, env)
+                print(f"zero n={n} d={d} {command} {run_digest(res)}")
+                if res.returncode != 0:
+                    failed += 1
+                    print(f"zero n={n} d={d} {command} failed: exit {res.returncode}",
+                          file=sys.stderr)
+    return failed
 
 
 def print_solves() -> None:
@@ -125,6 +170,12 @@ def print_solves() -> None:
         for d in workloads.MOTZKIN_DEGREES:
             run(f"ladder approx d={d}", lambda d=d: l1sos.best_l1_sos_approximation(f, d))
             run(f"ladder is_sos d={d}", lambda d=d: l1sos.is_sos(f, d))
+        for c in C_SWEEP:
+            for d in C_SWEEP_DEGREES:
+                tag, cf = f"c-sweep c={c:g} d={d}", c * f
+                run(f"{tag} approx", lambda cf=cf, d=d: l1sos.best_l1_sos_approximation(cf, d))
+                run(f"{tag} baseline", lambda cf=cf, d=d: l1sos.uniform_sos_perturbation(cf, d))
+                run(f"{tag} is_sos", lambda cf=cf, d=d: l1sos.is_sos(cf, d))
         with tempfile.TemporaryDirectory() as tmp:
             sets = workloads.make_inputs("random-dense", 1, Path(tmp))["instance_sets"]
         for s, instances in enumerate(sets):
@@ -139,9 +190,9 @@ def print_solves() -> None:
 
 def main() -> int:
     print_lines()
-    print_cli()
+    failed = print_cli() + print_zero()
     print_solves()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
