@@ -19,7 +19,10 @@ variables give the optimal moment vector y*, and rho = -L_{y*}(f) with zero
 duality gap.  With the multipliers tied to one epsilon the same program
 gives the uniform baseline, and with none the SOS membership test; all
 three share one solve, in one PSD block per class of basis monomials under
-the sign flips that fix f.  Each block's constraint coefficients are one
+the sign flips that fix f, one class kept per orbit under the variable
+transpositions that fix f, and one constraint per orbit of monomials.  The
+solver takes the orbit sizes as multiplicities, so the iterates are those
+of the unreduced program.  Each block's constraint coefficients are one
 :class:`~l1sos.sdp.Entries`, read from the upper triangle of the label
 matrix with one mask per class.  :func:`assemble_full_form`, a
 coefficient-wise formulation, is kept as a cross-check on tiny instances.
@@ -138,7 +141,11 @@ class ApproximationResult:
         Eigendecomposition-based square extraction from ``gram``.
     solver : ConicSolution
         The solve that produced the result, with its status, stop reason,
-        residuals, per-iteration trace and phase times.  A zero f carries
+        residuals, per-iteration trace and phase times.  It solved the
+        program reduced by f's symmetries: its primal holds the Gram block
+        of each kept class and one multiplier per orbit of variables, and
+        its dual one entry per orbit O of monomials, -|O| y_alpha for each
+        member alpha.  The other fields are full size.  A zero f carries
         the exact optimal pair of its program, X = 0, y = 0, S = C, with
         nothing solved: zero iterations, ``optimal``, ``converged`` and an
         empty trace.
@@ -308,10 +315,31 @@ class _SignPartition(NamedTuple):
     block; ``invariant`` holds the product-basis indices of the monomials
     that keep a constraint.  Gram entries between classes and moments of the
     other monomials are zero at an optimum.
+
+    Under a group of variable permutations that fix f (see
+    :func:`_symmetric_partition`), ``classes`` keeps one class per orbit of
+    classes, and ``images[k]`` has one row per class of k's orbit, its own
+    first: row r maps member t of class k to basis index images[k][r, t].
+    ``pairs[k]`` labels the entries of class k's block by their orbit
+    under the permutations that fix class k, or is None where those fix
+    every entry.  ``orbits`` gives the constraint of each invariant
+    monomial, one per orbit of monomials, numbered in order of the orbits'
+    first members.  By default there is no group: each class is its only
+    image and each invariant monomial its own constraint.
     """
 
     classes: tuple[np.ndarray, ...]
     invariant: np.ndarray
+    images: tuple[np.ndarray, ...] | None = None
+    pairs: tuple[np.ndarray | None, ...] | None = None
+    orbits: np.ndarray | None = None
+
+    def layout(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray | None, ...], np.ndarray]:
+        """(images, pairs, orbits), with the defaults filled in."""
+        images = self.images or tuple(idx[None] for idx in self.classes)
+        pairs = self.pairs or (None,) * len(self.classes)
+        orbits = np.arange(self.invariant.size) if self.orbits is None else self.orbits
+        return images, pairs, orbits
 
 
 def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
@@ -345,22 +373,166 @@ def _sign_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
     return _SignPartition(tuple(np.flatnonzero(first == i) for i in leaders), np.flatnonzero(keep))
 
 
+def _variable_orbits(f: Polynomial) -> list[list[int]]:
+    """The orbits of the variables under the group generated by the
+    transpositions (i j) that fix f, each in increasing order.
+
+    If (i j) and (j k) fix f, so does (i k) = (i j)(j k)(i j): fixing f is
+    an equivalence between variables, and each variable is compared with
+    the first of every orbit found so far.  (i j) maps the terms with x_i
+    onto those with x_j, so two variables are compared term by term only
+    when their profiles, the sorted (exponent, coefficient) pairs of the
+    terms they occur in, agree; variables absent from f all are.
+    Coefficients compare exactly.  The group is a product of symmetric
+    groups, one per orbit; a symmetry of f that is no product of
+    transpositions fixing f, such as a cyclic shift alone, is not found.
+    """
+    terms = f.terms
+    profiles = [sorted((mono[i], c) for mono, c in terms.items() if mono[i]) for i in range(f.n)]
+
+    def swap_fixes(i: int, j: int) -> bool:
+        perm = list(range(f.n))
+        perm[i], perm[j] = j, i
+        return all(terms.get(tuple(mono[p] for p in perm)) == c for mono, c in terms.items())
+
+    orbits: list[list[int]] = []
+    for i, profile in enumerate(profiles):
+        for orbit in orbits:
+            if profiles[orbit[0]] == profile and swap_fixes(orbit[0], i):
+                orbit.append(i)
+                break
+        else:
+            orbits.append([i])
+    return orbits
+
+
+def _symmetric_partition(f: Polynomial, bp: BasisProducts) -> _SignPartition:
+    """The sign partition of f, reduced by the group G generated by the
+    variable transpositions that fix f (:func:`_variable_orbits`).
+
+    G fixes f, 1 and the x_i^{2d} as a set, hence the program, and it
+    permutes the sign classes, so an optimum may be averaged over G
+    (Gatermann & Parrilo 2004; Riener, Theobald, Andren & Lasserre 2013).
+    The first class of each orbit of classes is kept, with the others as
+    its images; the constraints of an orbit of monomials become one.  With
+    no transposition this is :func:`_sign_partition` itself.
+
+    An orbit's first monomial in graded-lex order sorts its exponents in
+    decreasing order within each orbit of variables, so that sort names
+    the orbit of every product monomial.  The images of a class follow from
+    the adjacent transpositions of each orbit of variables, applied as
+    permutations of the basis until no new class appears.  A transposition
+    that leads back to a class already found gives a permutation of the
+    kept class that fixes it (a Schreier generator of its stabilizer), and
+    these generate all of them; they relate the entries of its block in
+    ``pairs``.  The program only sees each block through constraints that
+    average over these orbits, so the solve leaves the block invariant
+    only up to drift, which the reconstruction averages away.
+    """
+    part = _sign_partition(f, bp)
+    groups = [orbit for orbit in _variable_orbits(f) if len(orbit) > 1]
+    if not groups:
+        return part
+    exps = bp.product_basis.exponents.copy()
+    for orbit in groups:
+        exps[:, orbit] = -np.sort(-exps[:, orbit], axis=1)
+    lead = bp.product_basis.positions(exps)[part.invariant]
+    first = np.full(len(bp.product_basis), -1)
+    leaders = part.invariant[lead == part.invariant]
+    first[leaders] = np.arange(leaders.size)
+    perms = []
+    for orbit in groups:
+        for i, j in zip(orbit, orbit[1:]):
+            swapped = bp.basis.exponents.copy()
+            swapped[:, [i, j]] = swapped[:, [j, i]]
+            perms.append(bp.basis.positions(swapped))
+    class_of = np.empty(len(bp.basis), dtype=int)
+    for k, idx in enumerate(part.classes):
+        class_of[idx] = k
+    # The row of each class among the images of its orbit, -1 if not found.
+    row = np.full(len(part.classes), -1)
+    position = np.empty(len(bp.basis), dtype=int)
+    kept, images, pairs = [], [], []
+    for k, idx in enumerate(part.classes):
+        if row[k] >= 0:
+            continue
+        row[k] = 0
+        orbit, fixing = [idx], []
+        for image in orbit:
+            for perm in perms:
+                moved = perm[image]
+                j = class_of[moved[0]]
+                if row[j] < 0:
+                    row[j] = len(orbit)
+                    orbit.append(moved)
+                else:
+                    position[orbit[row[j]]] = np.arange(idx.size)
+                    fixing.append(position[moved])
+        kept.append(idx)
+        images.append(np.array(orbit))
+        pairs.append(_pair_orbits(idx.size, fixing))
+    return _SignPartition(tuple(kept), part.invariant, tuple(images), tuple(pairs), first[lead])
+
+
+def _pair_orbits(size: int, perms: list[np.ndarray]) -> np.ndarray | None:
+    """The orbits of the entries (i, j) of a size x size matrix under the
+    group that ``perms`` generate, each labelled by its smallest flat index,
+    or None if every perm is the identity."""
+    perms = [p for p in perms if np.any(p != np.arange(size))]
+    if not perms:
+        return None
+    label = np.arange(size * size).reshape(size, size)
+    while True:
+        new = label
+        for p in perms:
+            new = np.minimum(new, new[np.ix_(p, p)])
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _multiplier_slots(
+    bp: BasisProducts, partition: _SignPartition, multipliers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each perturbation monomial, its constraint, its multiplier and
+    whether it carries that multiplier's entry.  ``multipliers`` > 1 gives
+    one multiplier per orbit of perturbation monomials, numbered in order
+    and carried by the orbit's first monomial; 1 ties them all to one, which
+    every monomial carries.  The perturbation monomials are even, so each
+    keeps its constraint."""
+    orbits = partition.layout()[-1]
+    pattern = _perturbation_monomials(bp.basis.n, 2 * bp.basis.degree)
+    cons = orbits[np.searchsorted(partition.invariant, bp.product_basis.positions(pattern))]
+    if multipliers == 1:
+        return cons, np.zeros(cons.size, dtype=int), np.ones(cons.size, dtype=bool)
+    numbers: dict[int, int] = {}
+    slots = np.array([numbers.setdefault(con, len(numbers)) for con in cons.tolist()])
+    # A new multiplier is one past every multiplier before it.
+    return cons, slots, np.diff(np.maximum.accumulate(slots), prepend=-1) > 0
+
+
 def _assemble_moment_side(
     f: Polynomial, bp: BasisProducts, partition: _SignPartition, multipliers: int
 ) -> ConicProblem:
-    """Conic form of the moment-side program, one PSD block per class.
+    """Conic form of the moment-side program, one PSD block per kept class.
 
-    One constraint per invariant monomial alpha of degree <= 2d, with
-    right-hand side f_alpha (zero-padded).  Constraint multipliers are the
-    Gram blocks followed by a nonnegative block of ``multipliers``
-    perturbation multipliers: n + 1 free ones, 1 that ties the lam_i to a
-    single epsilon, or none for the SOS membership program of f itself.
-    Block k's entries are the upper-triangle pairs of class k, on the
-    constraint of their label.
+    One constraint per orbit O of invariant monomials alpha of degree
+    <= 2d: the mean of its members' constraints, with right-hand side
+    f_alpha (zero-padded) and weight |O|.  Constraint multipliers are the
+    Gram blocks, each with one copy per image of its class, followed by a
+    nonnegative block of perturbation multipliers: n + 1 free ones, one per
+    orbit, with one copy per member; 1 that ties the lam_i to a single
+    epsilon; or none for the SOS membership program of f itself
+    (``multipliers`` n + 1, 1 or 0).  Block k's entries are the
+    upper-triangle pairs of class k, 1 / |O| on the constraint of their
+    label's orbit.  Solved with these multiplicities, the program has the
+    iterates of the program without a group (:mod:`l1sos.sdp`).
     """
     s = len(bp.basis)
+    images, _, orbits = partition.layout()
+    size = np.bincount(orbits)
     con_of = np.full(len(bp.product_basis), -1)
-    con_of[partition.invariant] = np.arange(partition.invariant.size)
+    con_of[partition.invariant] = orbits
     rows, cols = np.triu_indices(s)
     con = con_of[bp.labels[rows, cols]]
     blocks: list[PsdBlock | NonNegBlock] = []
@@ -372,17 +544,21 @@ def _assemble_moment_side(
         mask = (local[rows] >= 0) & (con >= 0)
         blocks.append(PsdBlock(idx.size))
         c.append(np.zeros((idx.size, idx.size)))
-        coefs.append(Entries(con[mask], local[rows[mask]], local[cols[mask]], np.ones(mask.sum())))
+        con_k = con[mask]
+        coefs.append(Entries(con_k, local[rows[mask]], local[cols[mask]], 1.0 / size[con_k]))
+    copies = [len(image) for image in images]
     if multipliers:
-        # The perturbation monomials are even, so each keeps its constraint.
-        pattern = _perturbation_monomials(f.n, 2 * bp.basis.degree)
-        pat_con = con_of[[bp.product_basis.index_of(mono) for mono in pattern]]
-        slots = np.arange(f.n + 1) if multipliers > 1 else np.zeros(f.n + 1, dtype=int)
-        blocks.append(NonNegBlock(multipliers))
-        c.append(np.ones(multipliers))
-        coefs.append(Entries(pat_con, slots, slots, -np.ones(f.n + 1)))
-    b = _padded_coefficients(f, bp.product_basis)[0][partition.invariant]
-    return ConicProblem(tuple(blocks), tuple(c), tuple(coefs), b)
+        pat_con, slots, carried = _multiplier_slots(bp, partition, multipliers)
+        count = slots.max() + 1
+        blocks.append(NonNegBlock(count))
+        c.append(np.ones(count))
+        pat_con, slots = pat_con[carried], slots[carried]
+        coefs.append(Entries(pat_con, slots, slots, -1.0 / size[pat_con]))
+        # A free multiplier stands for its orbit's, a tied one for itself.
+        copies.append(size[pat_con] if multipliers > 1 else 1.0)
+    b = np.zeros(size.size)
+    b[orbits] = _padded_coefficients(f, bp.product_basis)[0][partition.invariant]
+    return ConicProblem(tuple(blocks), tuple(c), tuple(coefs), b, tuple(copies), size)
 
 
 def assemble_reduced_dual(f: Polynomial, d: int) -> ConicProblem:
@@ -454,18 +630,20 @@ def _perturbation(n: int, two_d: int, lam: np.ndarray) -> Polynomial:
 def _moment_side_solution(
     f: Polynomial, d: int, multipliers: int
 ) -> tuple[BasisProducts, np.ndarray, np.ndarray, MomentVector, ConicSolution]:
-    """Solve the moment-side program of f at degree bound 2d in sign-symmetry
-    blocks, with ``multipliers`` perturbation multipliers (see
-    :func:`_assemble_moment_side`), whatever status the solve ends with.
-    A zero f is not solved: its program has b = 0 and the exact optimal
-    pair X = 0, y = 0, S = C.
+    """Solve the moment-side program of f at degree bound 2d in the blocks of
+    :func:`_symmetric_partition`, with ``multipliers`` perturbation
+    multipliers (see :func:`_assemble_moment_side`), whatever status the
+    solve ends with.  A zero f is not solved: its program has b = 0 and the
+    exact optimal pair X = 0, y = 0, S = C.
 
     Returns the basis products, the full Gram matrix carrying each block on
-    its class, the raw multipliers (empty for none), y = -dual on the
-    invariant monomials and zero elsewhere, and the solution.
+    every image of its class, the raw multipliers (n + 1, 1 or none, each
+    free one its orbit's), y = -dual / |O| on the invariant monomials of
+    each orbit O and zero elsewhere, and the solution of the program
+    solved.
     """
     bp = basis_products(f.n, d)
-    partition = _sign_partition(f, bp)
+    partition = _symmetric_partition(f, bp)
     problem = _assemble_moment_side(f, bp, partition, multipliers)
     if f.is_zero():
         # C lies in the cone, so S = C is a dual slack.
@@ -475,13 +653,22 @@ def _moment_side_solution(
         )
     else:
         sol = solve(problem)
+    images, pairs, orbits = partition.layout()
     gram = np.zeros((len(bp.basis), len(bp.basis)))
-    for idx, x in zip(partition.classes, sol.primal):
-        gram[np.ix_(idx, idx)] = x
+    for image, label, x in zip(images, pairs, sol.primal):
+        if label is not None:
+            # The mean over each orbit of entries: the block made invariant.
+            counts = np.maximum(np.bincount(label.ravel()), 1)
+            x = (np.bincount(label.ravel(), x.ravel()) / counts)[label]
+        for idx in image:
+            gram[np.ix_(idx, idx)] = x
     y_vals = np.zeros(len(bp.product_basis))
     # Subtracted, not negated, so a zero dual gives +0.0 moments.
-    y_vals[partition.invariant] -= sol.dual
-    raw = sol.primal[-1] if multipliers else np.zeros(0)
+    y_vals[partition.invariant] -= sol.dual[orbits] / problem.weights[orbits]
+    raw = np.zeros(0)
+    if multipliers:
+        # n + 1 free multipliers, or the tied one once.
+        raw = sol.primal[-1][_multiplier_slots(bp, partition, multipliers)[1][:multipliers]]
     return bp, gram, raw, MomentVector(bp.product_basis, y_vals), sol
 
 
@@ -551,8 +738,10 @@ def is_sos(g: Polynomial, d: int) -> SosCertificate | SosRefutation:
     way, or a ray that fails a witness check, which is then named in
     ``check``.  Near the boundary of the SOS cone, where double precision
     cannot tell the two answers apart, that refusal is the answer.  The
-    program is split into sign-symmetry blocks and solved for g / ||g||_1,
-    so the answer does not depend on g's scale; the certificate weights
+    program is reduced by g's sign flips and variable transpositions, as in
+    :func:`best_l1_sos_approximation`, and solved for g / ||g||_1, so the
+    answer does not depend on g's scale; the solution attached to a
+    refusal is that of the reduced program; the certificate weights
     and the witness value are in g's units, and the certificate residual
     is taken against g itself.  A zero g is divided by 1 and certified
     with no squares; a g whose l1 norm overflows raises ValueError.

@@ -53,6 +53,15 @@ class MonomialBasis:
     def index_of(self, mono: Monomial) -> int:
         return self.index[tuple(mono)]
 
+    def positions(self, exps: np.ndarray) -> np.ndarray:
+        """The indices of the exponent vectors along the last axis of
+        ``exps``, each of which must lie in the basis.  Exponent vectors
+        compare as byte strings."""
+        keys = self.exponents.view(f"V{8 * self.n}")[:, 0]
+        found = np.ascontiguousarray(exps, dtype=np.int64).view(keys.dtype)[..., 0]
+        order = np.argsort(keys)
+        return order[np.searchsorted(keys, found, sorter=order)]
+
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def enumerate_basis(n: int, d: int) -> MonomialBasis:
@@ -140,14 +149,9 @@ def basis_products(n: int, d: int) -> BasisProducts:
     beta_i + beta_j up among the degree-2d monomials.  The result is built
     once per (n, d) and shared."""
     basis, product_basis = enumerate_basis(n, d), enumerate_basis(n, 2 * d)
-    # Exponent vectors compare as byte strings; the degree-d basis is a
-    # prefix of the graded degree-2d one.
-    exps = product_basis.exponents
-    keys = exps.view(f"V{8 * n}")[:, 0]
-    top = exps[: len(basis)]
-    sums = (top[:, None] + top[None, :]).view(keys.dtype)[..., 0]
-    order = np.argsort(keys)
-    labels = order[np.searchsorted(keys, sums, sorter=order)]
+    # The degree-d basis is a prefix of the graded degree-2d one.
+    top = product_basis.exponents[: len(basis)]
+    labels = product_basis.positions(top[:, None] + top[None, :])
     labels.flags.writeable = False
     return BasisProducts(basis, product_basis, labels)
 

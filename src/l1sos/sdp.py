@@ -54,6 +54,19 @@ cause, and the solve ends ``step_failed`` where it catches it.  Every
 solution names the rule that ended it and carries its trace: the iterate
 statistics of every iteration and the wall time of each step's phases.
 
+A program may carry multiplicities, problem data that default to 1.  A
+block with ``copies`` c stands for c identical copies of itself, and a
+constraint with ``weight`` w for w identical constraints, as when a program
+that a group of symmetries fixes is restricted to its fixed points (Gatermann
+& Parrilo, J. Pure Appl. Algebra 192, 2004): the iterates are then those of
+the full program, one copy of each.  Copies enter <C, X>, <X, S> and the
+barrier parameter nu, the dual residual, A(X) and the Schur complement, as
+the factor c of a PSD block's share of M and as W = diag(g sqrt(c)) on a
+nonnegative block, which has one c per entry.  Weights enter the norms of
+the primal residual and of b.  A^T(y) takes neither.  Unit multiplicities are
+exact no-ops, a product with 1.0 or the norm of sqrt(1.0) times a vector,
+so a program without them keeps its iterates bit for bit.
+
 Intended for desk-scale problems: block dimensions and constraint counts in
 the tens to low hundreds.
 """
@@ -218,12 +231,21 @@ class ConicProblem:
         The constraint coefficients, one Entries per block.
     b : array, shape (m,)
         Right-hand side; every constraint needs an entry in some block.
+    copies : sequence, optional
+        How many identical copies each block stands for: a positive number
+        per PSD block, and per nonnegative block one positive number or one
+        per entry.  1 by default.
+    weights : array, shape (m,), optional
+        How many identical constraints each constraint stands for, positive;
+        1 by default.
     """
 
     blocks: tuple[Block, ...]
     c: tuple[np.ndarray, ...]
     coefs: tuple[Entries, ...]
     b: np.ndarray
+    copies: tuple | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -235,9 +257,15 @@ class ConicProblem:
         if not np.isfinite(b).all():
             raise ValueError("b must be finite")
         c, coefs = tuple(self.c), tuple(self.coefs)
-        cs = []
-        for k, (blk, ck, e) in enumerate(zip(blocks, c, coefs, strict=True)):
-            ck = np.asarray(ck, dtype=float)
+        copies = (1.0,) * len(blocks) if self.copies is None else tuple(self.copies)
+        weights = np.ones(b.size) if self.weights is None else np.asarray(self.weights, dtype=float)
+        if weights.shape != b.shape or not np.all(weights > 0.0) or not np.isfinite(weights).all():
+            raise ValueError("weights must be positive and finite, one per constraint")
+        cs, cps = [], []
+        for k, (blk, ck, e, cp) in enumerate(zip(blocks, c, coefs, copies, strict=True)):
+            ck, cp = np.asarray(ck, dtype=float), np.asarray(cp, dtype=float)
+            if not np.all(cp > 0.0) or not np.isfinite(cp).all():
+                raise ValueError(f"block {k}: copies must be positive and finite")
             if not np.isfinite(ck).all():
                 raise ValueError(f"objective block {k} is not finite")
             if isinstance(blk, PsdBlock):
@@ -247,16 +275,21 @@ class ConicProblem:
                     raise ValueError(f"objective block {k} has shape {ck.shape}")
                 if not np.allclose(ck, ck.T):
                     raise ValueError(f"objective block {k} is not symmetric")
-                ck, dim = 0.5 * (ck + ck.T), blk.dim
+                if cp.shape != ():
+                    raise ValueError(f"block {k}: a PSD block takes one number of copies")
+                ck, dim, cp = 0.5 * (ck + ck.T), blk.dim, float(cp)
             elif isinstance(blk, NonNegBlock):
                 if blk.count < 1:
                     raise ValueError("nonnegative block count must be >= 1")
                 if ck.shape != (blk.count,):
                     raise ValueError(f"objective block {k} has shape {ck.shape}")
-                dim = blk.count
+                if cp.shape not in ((), (blk.count,)):
+                    raise ValueError(f"block {k}: copies have shape {cp.shape}")
+                dim, cp = blk.count, np.broadcast_to(cp, (blk.count,)).copy()
             else:
                 raise TypeError(f"unknown block type {type(blk)!r}")
             cs.append(ck)
+            cps.append(cp)
             if not isinstance(e, Entries):
                 raise TypeError(f"block {k}: coefficients must be Entries, not {type(e)!r}")
             if isinstance(blk, NonNegBlock) and np.any(e.rows != e.cols):
@@ -274,6 +307,8 @@ class ConicProblem:
         object.__setattr__(self, "c", tuple(cs))
         object.__setattr__(self, "coefs", coefs)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "copies", tuple(cps))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
@@ -362,10 +397,11 @@ def _apply_at(coefs, blocks, y):
     return out
 
 
-def _inner(xs, ys) -> float:
+def _inner(xs, ys, copies) -> float:
+    """<X, Y> over the blocks, each block counted ``copies`` times."""
     total = 0.0
-    for x, y in zip(xs, ys):
-        total += float(np.sum(x * y))
+    for x, y, c in zip(xs, ys, copies):
+        total += float(np.sum(x * y * c))
     return total
 
 
@@ -402,19 +438,21 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     return (lx @ v) / np.sqrt(d), d
 
 
-def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
-    """M[i, j] = <A_i, W A_j W> on a block's touched constraints, by the F3
-    formula of SDPA: W A_j W is the sum over constraint j's entries (p, q, v)
-    of v W[:, p] W[q, :], and M[i, j] for i >= j sums v (W A_j W)[p, q] over
-    the upper-triangle entries of constraint i, W A_j W being symmetric.
-    Rows j are taken _SCHUR_CHUNK at a time, their W A_j W formed by one
-    stacked product over the chunk's padded entries, and mirrored into the
-    columns; where two rows of a chunk meet, the two values are averaged, so
-    the result is exactly symmetric."""
+def _schur_block(e: Entries, w: np.ndarray, times: float) -> np.ndarray:
+    """``times`` M[i, j], M[i, j] = <A_i, W A_j W>, on a block's touched
+    constraints, by the F3 formula of SDPA: W A_j W is the sum over
+    constraint j's entries (p, q, v) of v W[:, p] W[q, :], and M[i, j] for
+    i >= j sums v (W A_j W)[p, q] over the upper-triangle entries of
+    constraint i, W A_j W being symmetric; ``times`` scales those v.  Rows
+    j are taken _SCHUR_CHUNK at a time, their W A_j W formed by one stacked
+    product over the chunk's padded entries, and mirrored into the columns;
+    where two rows of a chunk meet, the two values are averaged, so the
+    result is exactly symmetric."""
     s = w.shape[0]
     k = e.touched.size
     flat = e.rows[e.triu_at] * s + e.cols[e.triu_at]
     starts = e.triu_starts
+    vals = e.triu_vals * times
     out = np.empty((k, k))
     full = np.empty((min(k, _SCHUR_CHUNK), s, s))
     z = 0
@@ -429,7 +467,7 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
         # starts[lo].
         first = starts[lo]
         picked = np.take(full[: hi - lo].reshape(hi - lo, s * s), flat[first:], axis=1)
-        picked *= e.triu_vals[first:]
+        picked *= vals[first:]
         rows = np.add.reduceat(picked, starts[lo:] - first, axis=1)
         out[lo:hi, lo:] = rows
         out[lo:, lo:hi] = rows.T
@@ -438,25 +476,28 @@ def _schur_block(e: Entries, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur_complement(blocks, coefs, xs, ss, m: int):
+def _schur_complement(blocks, coefs, xs, ss, m: int, copies=None):
     """The Schur complement M[i, j] = <A_i, W A_j W> of the NT direction,
     summed over the blocks on the constraints each one touches, exactly
     symmetric; also the scaling of every block.  A PSD block's is (G, d)
     from :func:`_nt_scaling`, with W = G G^T; a nonnegative block's is
     (g, d) with g = sqrt(x / s) and d = sqrt(x s).  The orthant is the
     diagonal of the PSD cone and W = diag(g) its NT scaling point, so both
-    cones take the F3 formula of :func:`_schur_block`.  Raises LinAlgError
-    if a PSD block of X or S is not numerically positive definite."""
+    cones take the F3 formula of :func:`_schur_block`.  A block of
+    ``copies`` c, 1 by default, counts c times: a PSD block's share of M is
+    multiplied by c, and a nonnegative block's W is diag(g sqrt(c)), with
+    one c per entry.  Raises LinAlgError if a PSD block of X or S is not
+    numerically positive definite."""
     scalings = []
     schur = np.zeros((m, m))
-    for blk, e, x, s in zip(blocks, coefs, xs, ss):
+    for blk, e, x, s, c in zip(blocks, coefs, xs, ss, copies or (1.0,) * len(blocks)):
         if isinstance(blk, PsdBlock):
             g, d = _nt_scaling(x, s)
-            w = g @ g.T
+            w, times = g @ g.T, c
         else:
             g, d = np.sqrt(x / s), np.sqrt(x * s)
-            w = np.diag(g)
-        block = _schur_block(e, w)
+            w, times = np.diag(g * np.sqrt(c)), 1.0
+        block = _schur_block(e, w, times)
         scalings.append((g, d))
         if e.touched.size == m:
             schur += block
@@ -547,6 +588,7 @@ def solve(problem: ConicProblem) -> ConicSolution:
     # Overflow and NaN are reported as a not_finite stop, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, coefs, cs, b, m = problem.blocks, problem.coefs, problem.c, problem.b, problem.m
+        copies, root_w = problem.copies, np.sqrt(problem.weights)
 
         a_inf = max(float(np.max(np.abs(e.vals), initial=0.0)) for e in coefs)
         b_inf = float(np.max(np.abs(b)))
@@ -554,21 +596,20 @@ def solve(problem: ConicProblem) -> ConicSolution:
         tau = 1.0 + max(b_inf, a_inf, c_inf)
 
         xs, ss = [], []
-        dims = 0
-        for blk in blocks:
+        nu = 0.0
+        for blk, cp in zip(blocks, copies):
             if isinstance(blk, PsdBlock):
                 xs.append(tau * np.eye(blk.dim))
                 ss.append(tau * np.eye(blk.dim))
-                dims += blk.dim
+                nu += blk.dim * cp
             else:
                 xs.append(tau * np.ones(blk.count))
                 ss.append(tau * np.ones(blk.count))
-                dims += blk.count
+                nu += float(np.sum(cp))
         y = np.zeros(m)
-        nu = float(dims)
 
-        b_scale = 1.0 + float(np.linalg.norm(b))
-        c_scale = 1.0 + float(np.sqrt(sum(np.sum(ck * ck) for ck in cs)))
+        b_scale = 1.0 + float(np.linalg.norm(root_w * b))
+        c_scale = 1.0 + float(np.sqrt(sum(np.sum(ck * ck * cp) for ck, cp in zip(cs, copies))))
 
         # With a zero objective every feasible X is optimal, and every y with
         # -A^T(y) in K and b'y > 0 proves that none exists: the solve ends at the
@@ -582,17 +623,17 @@ def solve(problem: ConicProblem) -> ConicSolution:
         status, reason = Status.MAX_ITERATIONS, StopReason.MAX_ITERATIONS
 
         for it in range(_MAX_ITER + 1):
-            ax = _apply_a(coefs, xs, m)
-            rp = b - ax
+            rp = b - _apply_a(coefs, [x * cp for x, cp in zip(xs, copies)], m)
+            rp_norm = float(np.linalg.norm(root_w * rp))
             aty = _apply_at(coefs, blocks, y)
             rd = [ck - at - sk for ck, at, sk in zip(cs, aty, ss)]
-            pobj = _inner(cs, xs)
+            pobj = _inner(cs, xs, copies)
             dobj = float(b @ y)
             gap = abs(pobj - dobj)
-            compl = _inner(xs, ss)
+            compl = _inner(xs, ss, copies)
             mu = compl / nu
-            feas_p = float(np.linalg.norm(rp)) / b_scale
-            feas_d = float(np.sqrt(sum(np.sum(r * r) for r in rd))) / c_scale
+            feas_p = rp_norm / b_scale
+            feas_d = float(np.sqrt(sum(np.sum(r * r * cp) for r, cp in zip(rd, copies)))) / c_scale
             trace.append(IterationStats(it, pobj, dobj, gap, mu, feas_p, feas_d))
 
             finite = (
@@ -632,7 +673,7 @@ def solve(problem: ConicProblem) -> ConicSolution:
 
             try:
                 xs, y, ss, alpha_p, alpha_d, sigma, reg, times = _take_step(
-                    blocks, coefs, b, xs, y, ss, rp, rd, mu, nu
+                    problem, xs, y, ss, rp_norm, rd, mu, nu
                 )
             except np.linalg.LinAlgError:
                 status, reason = Status.NUMERICAL_FAILURE, StopReason.STEP_FAILED
@@ -670,7 +711,7 @@ def _unscaled(blk, g: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return g @ mat @ g.T if isinstance(blk, PsdBlock) else g * mat
 
 
-def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
+def _take_step(problem, xs, y, ss, rp_norm, rd, mu, nu):
     """One Mehrotra predictor-corrector step along the NT direction.
 
     In the scaled space of each block both X and S are diag(d); with
@@ -682,14 +723,17 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     E = sigma mu diag(d)^{-1} - (dX~_a dS~_a + dS~_a dX~_a) / (d_i + d_j),
     the symmetrized complementarity equation at diag(d).  Eliminating dX
     and dS leaves M dy = b + A(G (G^T Rd G - E) G^T).  Step lengths are read
-    off the scaled iterate.  Returns the updated (xs, y, ss) with the step
+    off the scaled iterate; ``rp_norm``, the weighted norm of rp, sets the
+    centering safeguard.  Returns the updated (xs, y, ss) with the step
     lengths, sigma, the Schur shift and the :class:`PhaseTimes`.  Raises
     LinAlgError, naming the cause, if the NT scaling breaks down, the Schur
     complement is not finite or does not factor (from
     :func:`_factor_schur`), or no step can be taken."""
-    m = len(b)
+    blocks, coefs, copies, b, m = (
+        problem.blocks, problem.coefs, problem.copies, problem.b, problem.m
+    )
     start = time.perf_counter()
-    schur, scalings = _schur_complement(blocks, coefs, xs, ss, m)
+    schur, scalings = _schur_complement(blocks, coefs, xs, ss, m, copies)
     built = time.perf_counter()
     factor, reg = _factor_schur(schur)
     factored_at = time.perf_counter()
@@ -700,7 +744,10 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     def direction(es):
         rhs = b + _apply_a(
             coefs,
-            [_unscaled(blk, g, r - e) for blk, (g, _), r, e in zip(blocks, scalings, rd_scaled, es)],
+            [
+                _unscaled(blk, g, r - e) * cp
+                for blk, (g, _), r, e, cp in zip(blocks, scalings, rd_scaled, es, copies)
+            ],
             m,
         )
         dy = _schur_solve(factor, schur, rhs)
@@ -717,6 +764,7 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
         _inner(
             [dm + alpha_p * dx for dm, dx in zip(dmats, dx_a)],
             [dm + alpha_d * ds for dm, ds in zip(dmats, ds_a)],
+            copies,
         ),
         0.0,
     ) / nu
@@ -725,7 +773,7 @@ def _take_step(blocks, coefs, b, xs, y, ss, rp, rd, mu, nu):
     # keep some centering so feasibility progress is not starved (otherwise
     # degenerate instances can pin the iterate to the cone boundary with the
     # primal residual stalled).
-    rp_ratio = float(np.linalg.norm(rp)) / (mu * nu + 1e-300)
+    rp_ratio = rp_norm / (mu * nu + 1e-300)
     if rp_ratio > 1.0:
         sigma = max(sigma, min(0.5, 0.1 * rp_ratio))
     target = sigma * mu

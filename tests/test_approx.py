@@ -392,9 +392,13 @@ class TestFarkasRayRefutation:
         # matrix but L_y(g) = g(0) > 0; or by y = 1 at 1 and x1^2 x2^2, which
         # has L_y(g) = 1/27 - 1 < 0 but the indefinite 2 x 2 minor
         # [[0, 1], [1, 0]] at (x1, x1 x2^2).  Each is refused after the one
-        # solve, on the witness check it fails.  Motzkin-like keeps the
-        # constraints of the even monomials, in basis order.
-        even = [m for m in enumerate_basis(2, 6).monomials if not any(e % 2 for e in m)]
+        # solve, on the witness check it fails.  Motzkin-like keeps one
+        # constraint per orbit of even monomials under x1 <-> x2, in basis
+        # order of the orbits' first members, those with alpha_1 >= alpha_2.
+        # 1 and x1^2 x2^2 are orbits of their own, so y = -dual there.
+        even = [
+            m for m in enumerate_basis(2, 6).monomials if not any(e % 2 for e in m) and m[0] >= m[1]
+        ]
         ones = {"zero": [], "positive_value": [(0, 0)], "not_psd": [(0, 0), (2, 2)]}[tamper]
         failed = {
             "zero": "witness_value_negative",

@@ -881,3 +881,91 @@ def test_runtime_needs_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+class TestMultiplicities:
+    """Block copies and constraint weights: the program reduced by the
+    transposition x1 <-> x2 of Motzkin-like, solved with them, keeps the
+    iterates of the sign-only program."""
+
+    @staticmethod
+    def programs(d):
+        f = motzkin_like()
+        bp = basis_products(f.n, d)
+        signs = approx._assemble_moment_side(f, bp, approx._sign_partition(f, bp), f.n + 1)
+        orbits = approx._assemble_moment_side(f, bp, approx._symmetric_partition(f, bp), f.n + 1)
+        return signs, orbits
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_reduced_trace_matches_sign_only(self, d):
+        # Gap and mu relative to the stopping rule's 1 + |b'y|, the residuals
+        # relative already.  Step lengths and sigma agree to 1e-8 but in the
+        # last two or three steps, where the scaled directions are so
+        # ill-conditioned that they agree only to about 5e-7.
+        signs, orbits = self.programs(d)
+        assert orbits.m < signs.m
+        full, reduced = solve(signs), solve(orbits)
+        assert (reduced.status, reduced.iterations) == (full.status, full.iterations)
+        for a, b in zip(full.trace, reduced.trace, strict=True):
+            scale = 1.0 + abs(a.dual_objective)
+            for name in ("primal_objective", "dual_objective", "gap", "mu"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-8 * scale, (a.iteration, name)
+            for name in ("feas_primal", "feas_dual"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-8, (a.iteration, name)
+            late = a.iteration >= full.iterations - 3
+            for name in ("alpha_p", "alpha_d", "sigma"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert math.isnan(x) == math.isnan(y)
+                if not math.isnan(x):
+                    assert abs(x - y) <= (1e-6 if late else 1e-8), (a.iteration, name)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: TestMultiplicities.programs(3)[0],
+         lambda: random_conic_problem(np.random.default_rng(5))[0]],
+        ids=["motzkin-3", "random"],
+    )
+    def test_unit_multiplicities_change_nothing(self, make):
+        plain = make()
+        unit = ConicProblem(
+            plain.blocks, plain.c, plain.coefs, plain.b,
+            tuple(1 if isinstance(blk, PsdBlock) else np.ones(blk.count) for blk in plain.blocks),
+            np.ones(plain.m),
+        )
+        a, b = solve(plain), solve(unit)
+        assert (a.status, a.stop_reason, a.iterations) == (b.status, b.stop_reason, b.iterations)
+        for x, y in zip((*a.primal, a.dual, *a.slack), (*b.primal, b.dual, *b.slack), strict=True):
+            assert np.array_equal(x, y)
+        assert np.array_equal(np.array(a.trace), np.array(b.trace), equal_nan=True)
+
+    @pytest.mark.parametrize("copies,weights,fragment", [
+        ((0, 1.0), None, "block 0: copies must be positive"),
+        ((1, -2.0), None, "block 1: copies must be positive"),
+        ((1, [1.0, 0.0]), None, "block 1: copies must be positive"),
+        ((np.ones(2), 1), None, "block 0: a PSD block takes one number of copies"),
+        ((1, np.ones(3)), None, "block 1: copies have shape (3,)"),
+        (None, np.ones(2), "weights must be positive"),
+        (None, [0.0], "weights must be positive"),
+        (None, [-1.0], "weights must be positive"),
+    ], ids=[
+        "zero-copies", "negative-copies", "zero-entry-copies", "psd-copies-shape",
+        "nonneg-copies-length", "weights-length", "zero-weight", "negative-weight",
+    ])
+    def test_invalid_multiplicities(self, copies, weights, fragment):
+        with pytest.raises(ValueError) as err:
+            ConicProblem(
+                (PsdBlock(2), NonNegBlock(2)),
+                (np.eye(2), np.ones(2)),
+                (Entries([0], [0], [1], [1.0]), Entries([0], [0], [0], [1.0])),
+                [2.0], copies, weights,
+            )
+        assert fragment in str(err.value)
+
+    def test_copies_of_every_block(self):
+        with pytest.raises(ValueError):
+            ConicProblem(
+                (PsdBlock(2), NonNegBlock(2)),
+                (np.eye(2), np.ones(2)),
+                (Entries([0], [0], [1], [1.0]), Entries([0], [0], [0], [1.0])),
+                [2.0], (1,),
+            )

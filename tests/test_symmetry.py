@@ -1,6 +1,8 @@
 """Sign-symmetry blocks of the moment-side programs and the half-degree rule
 of SOS membership."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,189 @@ class TestHalfDegree:
         assert ref.witness.degree == 4
         assert np.linalg.eigvalsh(moment_matrix(ref.witness, 2))[0] >= -1e-8
         assert riesz(ref.witness, g) == pytest.approx(ref.value)
+
+
+X, Y, Z = (Polynomial.variable(3, i) for i in range(3))
+# Robinson's form: nonnegative, not a sum of squares, and fixed by every
+# permutation of its variables.
+ROBINSON = (
+    X**6 + Y**6 + Z**6
+    - (X**4 * Y**2 + X**2 * Y**4 + X**4 * Z**2 + X**2 * Z**4 + Y**4 * Z**2 + Y**2 * Z**4)
+    + 3.0 * X**2 * Y**2 * Z**2
+)
+# Choi-Lam's form plus 1: fixed by the cyclic shift x -> y -> z -> x, but
+# by no transposition.
+CHOI_LAM = X**4 * Y**2 + Y**4 * Z**2 + Z**4 * X**2 - 3.0 * X**2 * Y**2 * Z**2 + 1.0
+
+
+def embedded(f, n):
+    """f in n >= f.n variables, the new ones absent."""
+    return Polynomial(n, {mono + (0,) * (n - f.n): c for mono, c in f.terms.items()})
+
+
+def assert_same_program(a, b):
+    assert a.blocks == b.blocks
+    assert a.m == b.m
+    assert np.array_equal(a.b, b.b)
+    assert np.array_equal(a.weights, b.weights)
+    for ak, bk in zip(a.c, b.c, strict=True):
+        assert np.array_equal(ak, bk)
+    for ak, bk in zip(a.copies, b.copies, strict=True):
+        assert np.array_equal(ak, bk)
+    for e, ref in zip(a.coefs, b.coefs, strict=True):
+        for name in ("con", "rows", "cols", "vals", "touched"):
+            assert np.array_equal(getattr(e, name), getattr(ref, name))
+
+
+class TestTranspositions:
+    def test_motzkin_swaps_its_variables(self, motzkin):
+        assert approx._variable_orbits(motzkin) == [[0, 1]]
+        bp = basis_products(2, 3)
+        signs = approx._assemble_moment_side(motzkin, bp, approx._sign_partition(motzkin, bp), 3)
+        orbits = approx._assemble_moment_side(
+            motzkin, bp, approx._symmetric_partition(motzkin, bp), 3
+        )
+        # 1, x1^2, x2^2 | x1, x1^3, x1 x2^2 | x2, x1^2 x2, x2^3 | x1 x2: the
+        # swap exchanges the second and third classes.
+        assert [blk.dim for blk in signs.blocks[:-1]] == [3, 3, 3, 1]
+        assert [blk.dim for blk in orbits.blocks[:-1]] == [3, 3, 1]
+        assert orbits.copies[:-1] == (1.0, 2.0, 1.0)
+        assert orbits.blocks[-1].count == 2
+        assert orbits.copies[-1].tolist() == [1.0, 2.0]
+        assert (signs.m, orbits.m) == (10, 6)
+        assert orbits.weights.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 2.0]
+
+    def test_every_transposition_of_robinson(self):
+        assert approx._variable_orbits(ROBINSON) == [[0, 1, 2]]
+
+    def test_interleaved_orbits(self):
+        assert approx._variable_orbits(INTERLEAVED) == [[0, 2], [1, 3]]
+        program = approx._assemble_moment_side(
+            INTERLEAVED, basis_products(4, 2),
+            approx._symmetric_partition(INTERLEAVED, basis_products(4, 2)), 5,
+        )
+        # 1, then x0^4 and x2^4, then x1^4 and x3^4, each carried once.
+        assert program.copies[-1].tolist() == [1.0, 2.0, 2.0]
+        assert program.coefs[-1].rows[program.coefs[-1].vals != 0.0].tolist() == [0, 1, 2]
+
+    def test_cyclic_symmetry_is_not_reduced(self):
+        assert approx._variable_orbits(CHOI_LAM) == [[0], [1], [2]]
+        bp = basis_products(3, 3)
+        part = approx._symmetric_partition(CHOI_LAM, bp)
+        assert part.images is None and part.orbits is None
+        assert_same_program(
+            approx._assemble_moment_side(CHOI_LAM, bp, part, 4),
+            approx._assemble_moment_side(CHOI_LAM, bp, approx._sign_partition(CHOI_LAM, bp), 4),
+        )
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (4, 2), (6, 1)])
+    def test_dense_inputs_build_the_sign_only_program(self, n, d):
+        f = dense_polynomial(np.random.default_rng(60 + n + d), n, 2 * d)
+        assert approx._variable_orbits(f) == [[i] for i in range(n)]
+        bp = basis_products(n, d)
+        part = approx._symmetric_partition(f, bp)
+        assert part.images is None and part.orbits is None
+        for multipliers in (n + 1, 1, 0):
+            program = approx._assemble_moment_side(f, bp, part, multipliers)
+            signs = approx._assemble_moment_side(f, bp, approx._sign_partition(f, bp), multipliers)
+            assert_same_program(program, signs)
+            assert np.array_equal(program.weights, np.ones(program.m))
+            assert all(np.all(np.asarray(cp) == 1.0) for cp in program.copies)
+
+    def test_absent_variables_collapse(self):
+        # The input of test_more_variables_than_a_machine_word: (x0 x64)
+        # fixes it, and the 62 absent variables are interchangeable, so
+        # their 62 singleton classes are one class with 62 copies.
+        n = 66
+        x = [Polynomial.variable(n, i) for i in range(n)]
+        f = 1.0 + x[0] * x[65] + x[64] * x[65] + x[3]
+        absent = [i for i in range(n) if i not in (0, 3, 64, 65)]
+        assert approx._variable_orbits(f) == [[0, 64], [1] + absent[1:], [3], [65]]
+        bp = basis_products(n, 1)
+        assert len(approx._sign_partition(f, bp).classes) == 64
+        part = approx._symmetric_partition(f, bp)
+        assert [idx.tolist() for idx in part.classes] == [[0, 4], [1, 65, 66], [2]]
+        assert [image.shape for image in part.images] == [(1, 2), (1, 3), (62, 1)]
+        assert sorted(part.images[2][:, 0].tolist()) == [i + 1 for i in absent]
+        # Only (x0 x64) moves entries of a kept block: x0 and x64 in the
+        # second one.
+        assert [label is None for label in part.pairs] == [True, False, True]
+        assert part.pairs[1].tolist() == [[0, 1, 2], [1, 0, 2], [6, 6, 8]]
+        program = approx._assemble_moment_side(f, bp, part, n + 1)
+        assert program.copies[:-1] == (1.0, 1.0, 62.0)
+        # 1, then x0^2 and x64^2, x1^2 and the other absent ones, x3^2, x65^2.
+        assert program.copies[-1].tolist() == [1.0, 2.0, 62.0, 1.0, 1.0]
+
+
+W = [Polynomial.variable(4, i) for i in range(4)]
+# Fixed by (x0 x2) and by (x1 x3): two orbits of variables that interleave.
+INTERLEAVED = (
+    (W[0] ** 2 + W[2] ** 2) * (W[1] ** 2 + W[3] ** 2) - W[0] - W[2]
+    + 0.5 * (W[1] ** 3 + W[3] ** 3) - 1.0
+)
+
+
+@pytest.mark.parametrize(
+    "f,d",
+    [(ROBINSON, 3), (embedded(approx.motzkin_like(), 4), 3), (INTERLEAVED, 2)],
+    ids=["robinson", "motzkin-n4", "interleaved"],
+)
+def test_transposition_reduction_agrees_with_unreduced(f, d):
+    rho_ref, eps_ref = _unreduced(f, d)
+    res = best_l1_sos_approximation(f, d)
+    eps, _ = uniform_sos_perturbation(f, d)
+    assert abs(res.rho - rho_ref) <= AGREE_TOL
+    assert abs(eps - eps_ref) <= AGREE_TOL
+    assert verify(res, f, d).all_passed
+    # The membership program without symmetry blocks refutes too.
+    ref = is_sos(f, d)
+    assert isinstance(ref, SosRefutation)
+    assert verify(ref, f, d).all_passed
+    unit = f * (1.0 / f.l1_norm())
+    bp = basis_products(f.n, approx._sos_degree(f))
+    trivial = approx._SignPartition((np.arange(len(bp.basis)),), np.arange(len(bp.product_basis)))
+    assert solve(approx._assemble_moment_side(unit, bp, trivial, 0)).status == Status.INFEASIBLE
+
+
+def permuted(f, perm):
+    """f with x_i renamed x_{perm[i]}."""
+    out = [0] * f.n
+    terms = {}
+    for mono, c in f.terms.items():
+        for i, e in enumerate(mono):
+            out[perm[i]] = e
+        terms[tuple(out)] = c
+    return Polynomial(f.n, terms)
+
+
+@pytest.mark.parametrize("n,d,perm", [(2, 2, (1, 0)), (3, 2, (2, 0, 1)), (2, 3, (1, 0))])
+def test_permuting_variables_keeps_rho_and_verdict(n, d, perm):
+    """The first metamorphic relation: renaming the variables of f leaves
+    rho_d and the SOS verdict unchanged, within the two results' gap
+    tolerances."""
+    f = dense_polynomial(np.random.default_rng(70 + n + d), n, 2 * d)
+    g = permuted(f, perm)
+    assert g != f
+    a, b = best_l1_sos_approximation(f, d), best_l1_sos_approximation(g, d)
+    assert abs(a.rho - b.rho) <= approx._gap_tolerance(f, a.rho) + approx._gap_tolerance(g, b.rho)
+    assert is_sos(f, d).is_sos == is_sos(g, d).is_sos
+
+
+def test_block_fixed_by_its_class_stabilizer():
+    """Every permutation of x, y, z fixes this f, and its one sign class,
+    the whole basis: the program only averages the coefficients of each
+    orbit, so the solve leaves the block S3-invariant only up to drift.
+    Without averaging the block over the orbits of its entries, the Gram
+    matrix missed the coefficient of x y z^3 by 3.1e-7, past the 1e-7
+    tolerance of gram_reproduces_g."""
+    terms = {}
+    for mono, c in (((1, 3, 1), -0.856), ((1, 3, 0), -0.121), ((1, 1, 4), -0.048)):
+        for perm in itertools.permutations(mono):
+            terms[perm] = c
+    f = Polynomial(3, terms)
+    bp = basis_products(3, 3)
+    part = approx._symmetric_partition(f, bp)
+    assert len(part.classes) == 1 and part.pairs[0] is not None
+    res = best_l1_sos_approximation(f, 3)
+    assert verify(res, f, 3).all_passed
+    assert abs(res.rho - _unreduced(f, 3)[0]) <= AGREE_TOL

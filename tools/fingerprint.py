@@ -19,9 +19,18 @@ fact:
 - ``solve <operation> #<k> <status> <stop> iterations=<n> <sha256>``: every
   conic solve of the Motzkin-like ladder (d = 3..11, approx and is_sos), of
   the c-sweep (c * Motzkin-like for c = 1e-8 .. 1e6 and d = 3..7, approx,
-  baseline and is_sos) and of the three ``random-dense`` seed-1 instance
-  sets (approx, baseline and is_sos), with the SHA-256 of its final primal,
-  dual and slack.
+  baseline and is_sos), of Robinson's form, which every permutation of its
+  three variables fixes (d = 3, 4, approx, baseline and is_sos), and of
+  the three ``random-dense`` seed-1 instance sets (approx, baseline and
+  is_sos), with the SHA-256 of its final primal, dual and slack.  The
+  arrays are those of the program solved, reduced by the symmetries of
+  its input.
+- ``shape <operation> #<k> m=<m> psd=<dims> copies=<copies>``: before each
+  ``solve`` row, the size of the program it solves: its constraint count,
+  its PSD block dimensions and the copies of every block, those of a
+  nonnegative block joined by ``+`` (``copies=1,2,1,1+2``: three PSD blocks,
+  the second standing for two, and two multipliers, the second for two).
+  A checkout whose programs have no copies prints 1 for each.
 
 The tool exits 1, after printing everything, if a ``cli`` command's output
 fails the benchmark's own check or a ``zero`` command exits nonzero; each
@@ -60,6 +69,18 @@ CLI_SEEDS = (1, 2, 3)
 ZERO_CASES = ((2, 1), (3, 2))
 C_SWEEP = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6)
 C_SWEEP_DEGREES = range(3, 8)
+ROBINSON_DEGREES = (3, 4)
+
+
+def robinson() -> l1sos.Polynomial:
+    """Robinson's form x^6 + y^6 + z^6 - (x^4 y^2 + x^2 y^4 + x^4 z^2 +
+    x^2 z^4 + y^4 z^2 + y^2 z^4) + 3 x^2 y^2 z^2: nonnegative, not SOS."""
+    x, y, z = (l1sos.Polynomial.variable(3, i) for i in range(3))
+    return (
+        x**6 + y**6 + z**6
+        - (x**4 * y**2 + x**2 * y**4 + x**4 * z**2 + x**2 * z**4 + y**4 * z**2 + y**2 * z**4)
+        + 3.0 * x**2 * y**2 * z**2
+    )
 
 
 def code_lines(path: Path) -> int:
@@ -146,9 +167,16 @@ def print_solves() -> None:
     solve = approx.solve
     label, count = "", 0
 
-    def recorded(*args, **kwargs):
+    def recorded(problem):
         nonlocal count
-        sol = solve(*args, **kwargs)
+        psd = ",".join(str(blk.dim) for blk in problem.blocks if hasattr(blk, "dim"))
+        # A checkout without block copies prints 1 for every block and entry.
+        copies = getattr(problem, "copies", None) or [
+            1.0 if hasattr(blk, "dim") else np.ones(blk.count) for blk in problem.blocks
+        ]
+        copies = ",".join("+".join(f"{c:g}" for c in np.atleast_1d(cp)) for cp in copies)
+        print(f"shape {label} #{count} m={problem.m} psd={psd} copies={copies}")
+        sol = solve(problem)
         arrays = [*sol.primal, sol.dual, *sol.slack]
         h = digest(*(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays))
         print(f"solve {label} #{count} {sol.status.value} {sol.stop_reason.value} "
@@ -176,6 +204,11 @@ def print_solves() -> None:
                 run(f"{tag} approx", lambda cf=cf, d=d: l1sos.best_l1_sos_approximation(cf, d))
                 run(f"{tag} baseline", lambda cf=cf, d=d: l1sos.uniform_sos_perturbation(cf, d))
                 run(f"{tag} is_sos", lambda cf=cf, d=d: l1sos.is_sos(cf, d))
+        r = robinson()
+        for d in ROBINSON_DEGREES:
+            run(f"robinson approx d={d}", lambda d=d: l1sos.best_l1_sos_approximation(r, d))
+            run(f"robinson baseline d={d}", lambda d=d: l1sos.uniform_sos_perturbation(r, d))
+            run(f"robinson is_sos d={d}", lambda d=d: l1sos.is_sos(r, d))
         with tempfile.TemporaryDirectory() as tmp:
             sets = workloads.make_inputs("random-dense", 1, Path(tmp))["instance_sets"]
         for s, instances in enumerate(sets):
